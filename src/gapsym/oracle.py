@@ -13,15 +13,10 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import Ambiguous, BoundTooSmall, EmptyInput, PrincipalModule
-from .fundamental import divisor_closure
-from .semigroup import NumericalSemigroup, TwoGen
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# _bits only lists the set bits of a mask.  The minimal-generator reductions
+# (_greedy_minimal, and minimal_generators in _semigroup_tree) stay the
+# oracle's own copies of what semigroup.py computes.
+from .semigroup import NumericalSemigroup, TwoGen, _bits
 
 
 def _greedy_minimal(S: NumericalSemigroup, mask: int, nbits: int):
@@ -162,17 +157,14 @@ def brute_h_determines(values, gmax: int):
     """The unique inclusion-maximal semigroup avoiding the set, by enumeration.
 
     Every semigroup avoiding X has the whole divisor closure D(X) among its
-    gaps, so nothing is visible when gmax < |D(X)|.  Only avoiders whose
-    Frobenius number equals max(X) can be maximal: below that max(X) would
-    not be a gap, and above it the avoider obtained by adjoining the
-    Frobenius number strictly contains it.
+    gaps, so none is found, and BoundTooSmall is raised, when gmax < |D(X)|.
+    Only avoiders whose Frobenius number equals max(X) can be maximal: below
+    that max(X) would not be a gap, and above it the avoider obtained by
+    adjoining the Frobenius number strictly contains it.
     """
     xs = sorted(set(values))
     if not xs:
         raise EmptyInput("need a nonempty gap set")
-    closure = divisor_closure(xs)
-    if len(closure) > gmax:
-        raise BoundTooSmall(f"avoiding {xs} needs at least {len(closure)} gaps")
     xmask = 0
     for x in xs:
         xmask |= 1 << x

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .fundamental import fundamental_gaps
 from .semigroup import TwoGen
 from .symmetry import (
-    rectangle_cells,
     self_symmetric_gaps,
     supersymmetric_gaps,
     triangle_r,
@@ -73,14 +72,12 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
         for j in range(T.alpha + 1):
             el.append(f'<line x1="0" y1="{j * CELL}" x2="{width}" y2="{j * CELL}" stroke="#999" stroke-dasharray="3,3"/>')
     if "rectangle" in layers:
-        rect = rectangle_cells(T)
-        if rect:
-            w = (T.beta // 2) * CELL
-            y = (T.alpha - T.alpha // 2) * CELL
-            el.append(
-                f'<rect x="0" y="{y}" width="{w}" height="{height - y}" '
-                f'fill="none" stroke="#cc0000" stroke-width="3"/>'
-            )
+        w = (T.beta // 2) * CELL
+        y = (T.alpha - T.alpha // 2) * CELL
+        el.append(
+            f'<rect x="0" y="{y}" width="{w}" height="{height - y}" '
+            f'fill="none" stroke="#cc0000" stroke-width="3"/>'
+        )
     if "diagonal" in layers:
         el.append(f'<line x1="0" y1="0" x2="{width}" y2="{height}" stroke="black" stroke-width="2"/>')
     if "values" in layers or "wilf" in layers:

@@ -174,12 +174,6 @@ class TwoGen:
         self._alpha_inv = pow(alpha, -1, beta)
         self._semigroup = None
 
-    @classmethod
-    def from_semigroup(cls, S: NumericalSemigroup) -> "TwoGen":
-        if len(S.generators) != 2:
-            raise NotTwoGenerated(f"minimal generators are {S.generators}")
-        return cls(*S.generators)
-
     @property
     def product(self) -> int:
         return self.alpha * self.beta
@@ -199,6 +193,17 @@ class TwoGen:
 
     def value(self, a: int, b: int) -> int:
         return self.product - a * self.alpha - b * self.beta
+
+    def row_length(self, b: int) -> int:
+        """Number of gap cells (1, b) .. (row_length(b), b) in row b, 1 <= b < alpha."""
+        return (self.product - b * self.beta - 1) // self.alpha
+
+    def column_height(self, a: int) -> int:
+        """Number of gap cells (a, 1) .. (a, column_height(a)) in column a, 1 <= a < beta.
+
+        Columns a > row_length(1) hold no gap and have height 0.
+        """
+        return (self.product - a * self.alpha - 1) // self.beta
 
     def in_lattice(self, a: int, b: int) -> bool:
         return a >= 1 and b >= 1 and self.value(a, b) > 0
@@ -224,8 +229,7 @@ class TwoGen:
         """All gap cells, row-major from the top row (b descending, a ascending)."""
         out = []
         for b in range(self.alpha - 1, 0, -1):
-            top = (self.product - b * self.beta - 1) // self.alpha
-            for a in range(1, top + 1):
+            for a in range(1, self.row_length(b) + 1):
                 out.append(LatticeGap(a, b, self.value(a, b)))
         return tuple(out)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _bits
 
 
 class GammaSemimodule:
@@ -78,13 +78,6 @@ class GammaSemimodule:
 
     def __repr__(self):
         return f"GammaSemimodule({self.base!r}, {list(self.min_generators)})"
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:

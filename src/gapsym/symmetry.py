@@ -3,7 +3,9 @@ zero-Wilf cells, borders, the five-block partition of the gap lattice, and
 the reconstruction game that recovers every gap from the two symmetric sets.
 
 Cell sets are plain frozensets of (a, b) pairs; no connectivity is assumed
-or checked anywhere.
+or checked anywhere.  Each named set is built from its own rows or columns;
+only the checks in `gap_partition` and `reconstruct_from_symmetric` build
+the whole gap lattice.
 """
 
 from __future__ import annotations
@@ -22,16 +24,24 @@ def _lg_cells(T: TwoGen) -> frozenset:
     return frozenset((e.a, e.b) for e in T.lattice_gaps())
 
 
+def _row_cells(T: TwoGen, rows) -> frozenset:
+    """All gap cells of the given rows b."""
+    return frozenset((a, b) for b in rows for a in range(1, T.row_length(b) + 1))
+
+
+def _column_cells(T: TwoGen, columns) -> frozenset:
+    """All gap cells of the given columns a."""
+    return frozenset((a, b) for a in columns for b in range(1, T.column_height(a) + 1))
+
+
 def triangle_u(T: TwoGen) -> frozenset:
     """Gap cells strictly above the horizontal midline b = floor(alpha/2)."""
-    half = T.alpha // 2
-    return frozenset(p for p in _lg_cells(T) if p[1] > half)
+    return _row_cells(T, range(T.alpha // 2 + 1, T.alpha))
 
 
 def triangle_r(T: TwoGen) -> frozenset:
     """Gap cells strictly right of the vertical midline a = floor(beta/2)."""
-    half = T.beta // 2
-    return frozenset(p for p in _lg_cells(T) if p[0] > half)
+    return _column_cells(T, range(T.beta // 2 + 1, T.beta))
 
 
 def supersymmetric_gaps(T: TwoGen):
@@ -47,18 +57,9 @@ def supersymmetric_gaps(T: TwoGen):
 
 def self_symmetric_gaps(T: TwoGen) -> frozenset:
     """Cells on a half-line alpha = 2b or beta = 2a; exactly the zero-Wilf gaps."""
-    out = set()
-    if T.alpha % 2 == 0:
-        b = T.alpha // 2
-        for a in range(1, T.beta):
-            if T.in_lattice(a, b):
-                out.add((a, b))
-    if T.beta % 2 == 0:
-        a = T.beta // 2
-        for b in range(1, T.alpha):
-            if T.in_lattice(a, b):
-                out.add((a, b))
-    return frozenset(out)
+    row = (T.alpha // 2,) if T.alpha % 2 == 0 else ()
+    column = (T.beta // 2,) if T.beta % 2 == 0 else ()
+    return _row_cells(T, row) | _column_cells(T, column)
 
 
 def reflect_alpha(T: TwoGen, cells) -> frozenset:
@@ -124,9 +125,13 @@ class GapPartition:
 
 
 def rectangle_cells(T: TwoGen) -> frozenset:
-    """Cells with a <= floor(beta/2) and b <= floor(alpha/2): gaps g with 2g in the semigroup."""
+    """Cells with a <= floor(beta/2) and b <= floor(alpha/2): gaps g with 2g in the semigroup.
+
+    Every such cell is a gap cell: a*alpha + b*beta <= alpha*beta, with
+    equality only if alpha and beta are both even, which coprimality forbids.
+    """
     return frozenset(
-        p for p in _lg_cells(T) if p[0] <= T.beta // 2 and p[1] <= T.alpha // 2
+        (a, b) for a in range(1, T.beta // 2 + 1) for b in range(1, T.alpha // 2 + 1)
     )
 
 
@@ -171,9 +176,7 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     lg = _lg_cells(T)
     if not sg <= lg or not ssg <= lg:
         raise InconsistentInput("input cells outside the gap lattice")
-    rect = frozenset(
-        (a, b) for a in range(1, T.beta // 2 + 1) for b in range(1, T.alpha // 2 + 1)
-    )
+    rect = rectangle_cells(T)
     if sg_side == "T_r":
         reflected = reflect_beta(T, sg)
         other = reflect_alpha

@@ -117,6 +117,28 @@ def test_rectangle_identity():
             assert S.contains(2 * T.value(a, b))
 
 
+def test_cell_sets_match_lattice_definitions():
+    # each set is built from its own rows or columns; compare it with its
+    # definition filtered over the whole gap lattice
+    for alpha, beta in coprime_pairs(40):
+        T = TwoGen(alpha, beta)
+        lg = [(e.a, e.b) for e in T.lattice_gaps()]
+        ha, hb = alpha // 2, beta // 2
+        pair = (alpha, beta)
+        assert triangle_u(T) == {(a, b) for a, b in lg if b > ha}, pair
+        assert triangle_r(T) == {(a, b) for a, b in lg if a > hb}, pair
+        assert self_symmetric_gaps(T) == {
+            (a, b) for a, b in lg if alpha == 2 * b or beta == 2 * a
+        }, pair
+        assert rectangle_cells(T) == {(a, b) for a, b in lg if a <= hb and b <= ha}, pair
+        for b in range(1, alpha):
+            n = T.row_length(b)
+            assert T.in_lattice(n, b) and not T.in_lattice(n + 1, b), (pair, b)
+        for a in range(1, beta):
+            h = T.column_height(a)
+            assert (h == 0 or T.in_lattice(a, h)) and not T.in_lattice(a, h + 1), (pair, a)
+
+
 def test_reconstruct_78():
     side, sg = supersymmetric_gaps(T78)
     got = reconstruct_from_symmetric(7, 8, sg, side, self_symmetric_gaps(T78))
