@@ -334,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="rebuild all gaps from the symmetric sets")
     p.add_argument("--input", required=True, help="JSON file describing the symmetric sets")
     p.add_argument("--infer", action="store_true", help="search for alpha/beta when absent")
-    p.add_argument("--max-beta", type=int, default=None, dest="max_beta")
+    p.add_argument(
+        "--max-beta", type=int, default=None, dest="max_beta",
+        help="largest beta --infer tries; the default, 4*max(values), already "
+        "covers every matching pair, so this can only narrow the search",
+    )
     add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 

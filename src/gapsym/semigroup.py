@@ -214,16 +214,22 @@ class TwoGen:
             raise OutOfTriangle(f"({a}, {b}) has value {self.value(a, b)}")
         return self.value(a, b)
 
-    def gap_to_lattice(self, g: int) -> LatticeGap:
-        """The unique cell (a, b) whose value is the gap g."""
+    def cell_of(self, g: int):
+        """The unique cell (a, b) whose value is g, or None when g is not a gap."""
         if g > 0:
             a = (-g * self._alpha_inv) % self.beta
             if a != 0:
-                rest = self.product - a * self.alpha - g
-                b, r = divmod(rest, self.beta)
+                b, r = divmod(self.product - a * self.alpha - g, self.beta)
                 if r == 0 and b >= 1:
-                    return LatticeGap(a, b, g)
-        raise NotAGap(f"{g} is not a gap of <{self.alpha}, {self.beta}>")
+                    return a, b
+        return None
+
+    def gap_to_lattice(self, g: int) -> LatticeGap:
+        """The unique cell (a, b) whose value is the gap g."""
+        cell = self.cell_of(g)
+        if cell is None:
+            raise NotAGap(f"{g} is not a gap of <{self.alpha}, {self.beta}>")
+        return LatticeGap(cell[0], cell[1], g)
 
     def lattice_gaps(self):
         """All gap cells, row-major from the top row (b descending, a ascending)."""

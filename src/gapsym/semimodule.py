@@ -93,7 +93,7 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
         # order by the gap partial order: 0 first, then column ascending
-        rest = sorted(keep[1:], key=lambda g: T.gap_to_lattice(g).a)
+        rest = sorted(keep[1:], key=lambda g: T.cell_of(g)[0])
         keep = [0] + rest
     return GammaSemimodule(S, keep)
 

@@ -11,6 +11,7 @@ the whole gap lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
 from .semigroup import NumericalSemigroup, TwoGen
@@ -44,15 +45,19 @@ def triangle_r(T: TwoGen) -> frozenset:
     return _column_cells(T, range(T.beta // 2 + 1, T.beta))
 
 
+def _smaller_triangle(tu: frozenset, tr: frozenset):
+    """(side, cells) of the smaller of two built triangles; ties go to T_u."""
+    if len(tu) <= len(tr):
+        return "T_u", tu
+    return "T_r", tr
+
+
 def supersymmetric_gaps(T: TwoGen):
     """The smaller of the two triangles, with its side tag.
 
     Ties go to the upper triangle; the tag records the choice.
     """
-    tu, tr = triangle_u(T), triangle_r(T)
-    if len(tu) <= len(tr):
-        return "T_u", tu
-    return "T_r", tr
+    return _smaller_triangle(triangle_u(T), triangle_r(T))
 
 
 def self_symmetric_gaps(T: TwoGen) -> frozenset:
@@ -99,9 +104,10 @@ def border_transport(T: TwoGen):
     when the right triangle is smaller, the right border of the zero-Wilf
     column joins the right-hand side.  Returns (side, lhs, rhs).
     """
-    side, _ = supersymmetric_gaps(T)
-    lhs = translate_tau(reflect_alpha(T, right_border(T, triangle_u(T))))
-    rhs = reflect_beta(T, right_border(T, triangle_r(T)))
+    tu, tr = triangle_u(T), triangle_r(T)
+    side, _ = _smaller_triangle(tu, tr)
+    lhs = translate_tau(reflect_alpha(T, right_border(T, tu)))
+    rhs = reflect_beta(T, right_border(T, tr))
     if side == "T_r":
         rhs |= right_border(T, self_symmetric_gaps(T))
     return side, lhs, rhs
@@ -200,25 +206,71 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     return cell_values(T, result)
 
 
+def _candidate_pairs(top: int, max_beta: int):
+    """Coprime pairs (alpha, beta) with beta <= max_beta that the bound of
+    `infer_semigroup` allows for largest value top, in ascending order."""
+    if top % 2 and top + 2 <= max_beta:
+        yield 2, top + 2
+    bound = 2 * top + 4
+    alpha = 3
+    while (alpha - 2) * (alpha - 1) <= bound:
+        for beta in range(alpha + 1, min(max_beta, 2 + bound // (alpha - 2)) + 1):
+            if gcd(alpha, beta) == 1:
+                yield alpha, beta
+        alpha += 1
+
+
 def infer_semigroup(values, max_beta: int):
     """Search coprime pairs for the one whose symmetric gap values match.
 
     Returns (alpha, beta), or None when nothing matches; raises Ambiguous
-    with all matches when several pairs share the same symmetric values.
-    """
-    from math import gcd
+    with all matches, in ascending (alpha, beta), when several pairs share
+    the same symmetric values.  Only pairs with beta <= max_beta count.
 
+    The search visits every pair that can match.  Let V be the largest
+    target value.  Values fall as a or b grows, so the largest value of a
+    nonempty block sits at its corner cell.  For alpha >= 3:
+
+    - alpha even: the self-symmetric row holds (1, alpha/2), whose value is
+      alpha*beta/2 - alpha;
+    - beta even: the self-symmetric column holds (beta/2, 1), whose value is
+      alpha*beta/2 - beta;
+    - both odd: the self-symmetric set is empty, so a match needs a nonempty
+      symmetric triangle.  Its corner is (1, (alpha+1)/2), of value
+      alpha*beta/2 - beta/2 - alpha, or ((beta+1)/2, 1), of value
+      alpha*beta/2 - alpha/2 - beta.
+
+    In every case V >= alpha*beta/2 - alpha - beta, which is the same as
+    (alpha-2)(beta-2) <= 2V+4.  For alpha = 2 every gap is self-symmetric,
+    so V = beta - 2.  Hence every match has beta <= 4V: for V >= 3 the bound
+    gives beta <= 2V+6 <= 4V; for V <= 2 it leaves only beta <= 10, where no
+    match has beta > 4V; and for alpha = 2, beta = V+2 <= 4V.  A max_beta of
+    4V, the CLI default, therefore misses nothing.
+
+    Before any triangle is built, a candidate is dropped unless every target
+    value is a gap and V is the corner value of one of the blocks a match
+    can hold: the self-symmetric row (1, alpha//2) or column (beta//2, 1),
+    T_u at (1, alpha//2 + 1) or T_r at (beta//2 + 1, 1).
+    """
     target = set(values)
+    top = max(target, default=0)
+    if top <= 0:
+        return None
     matches = []
-    for alpha in range(2, max_beta):
-        for beta in range(alpha + 1, max_beta + 1):
-            if gcd(alpha, beta) != 1:
-                continue
-            T = TwoGen(alpha, beta)
-            _, sg = supersymmetric_gaps(T)
-            vals = set(cell_values(T, sg)) | set(cell_values(T, self_symmetric_gaps(T)))
-            if vals == target and vals:
-                matches.append((alpha, beta))
+    for alpha, beta in _candidate_pairs(top, max_beta):
+        T = TwoGen(alpha, beta)
+        corners = (
+            T.value(1, alpha // 2),
+            T.value(1, alpha // 2 + 1),
+            T.value(beta // 2, 1),
+            T.value(beta // 2 + 1, 1),
+        )
+        if top not in corners or any(T.cell_of(v) is None for v in target):
+            continue
+        _, sg = supersymmetric_gaps(T)
+        vals = set(cell_values(T, sg)) | set(cell_values(T, self_symmetric_gaps(T)))
+        if vals == target:
+            matches.append((alpha, beta))
     if not matches:
         return None
     if len(matches) > 1:
@@ -262,7 +314,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     t_r_formula = sum(max(0, j * b // a - b // 2) for j in range(h, a))
     tu, tr = triangle_u(T), triangle_r(T)
     ssg = self_symmetric_gaps(T)
-    side, sg = supersymmetric_gaps(T)
+    side, sg = _smaller_triangle(tu, tr)
     warnings = []
     if t_u_formula != len(tu):
         warnings.append(

@@ -183,6 +183,66 @@ def test_infer_semigroup():
     assert exc.value.matches == [(3, 4), (3, 5), (3, 7)]
 
 
+def _symmetric_values(alpha, beta):
+    T = TwoGen(alpha, beta)
+    _, sg = supersymmetric_gaps(T)
+    return frozenset(cell_values(T, sg)) | frozenset(cell_values(T, self_symmetric_gaps(T)))
+
+
+SYMMETRIC_VALUES = {p: _symmetric_values(*p) for p in sorted(coprime_pairs(60))}
+
+
+def test_infer_semigroup_degenerate_targets():
+    for target in ({0}, {-1}, set(), {-3, 0}):
+        for cap in (1, 2, 3, 10):
+            assert infer_semigroup(target, cap) is None
+
+
+def test_infer_search_bound():
+    for (alpha, beta), values in SYMMETRIC_VALUES.items():
+        assert values, (alpha, beta)
+        top = max(values)
+        if alpha == 2:
+            assert top == beta - 2, (alpha, beta)
+        else:
+            assert (alpha - 2) * (beta - 2) <= 2 * top + 4, (alpha, beta)
+        assert beta <= 4 * top, (alpha, beta)
+
+
+def _reference_infer(target, cap):
+    """Every pair up to beta = 60 whose symmetric values equal the target."""
+    found = [p for p, v in SYMMETRIC_VALUES.items() if p[1] <= cap and v == target]
+    if not found:
+        return None
+    return found[0] if len(found) == 1 else found
+
+
+def _infer_or_matches(target, cap):
+    try:
+        return infer_semigroup(target, cap)
+    except Ambiguous as exc:
+        return exc.matches
+
+
+def test_infer_semigroup_matches_exhaustive_search():
+    sources = sorted({v for v in SYMMETRIC_VALUES.values() if 4 * max(v) <= 60}, key=sorted)
+    targets = set(sources)
+    for values in sources:
+        targets.update(values - {v} for v in values)
+        targets.update(values | {v} for v in range(1, max(values)) if v not in values)
+    for target in sorted(targets, key=sorted):
+        for cap in (4 * max(target, default=0), 10, 20):
+            assert _infer_or_matches(target, cap) == _reference_infer(target, cap), (
+                sorted(target), cap)
+
+
+def test_infer_semigroup_large_round_trips():
+    for pair, top in (((9, 14), 49), ((31, 64), 928)):
+        values = _symmetric_values(*pair)
+        assert max(values) == top
+        assert infer_semigroup(values, 4 * top) == pair
+
+
 def test_card_formulas():
     rep = card_formulas(TwoGen(8, 13))
     assert rep.ssg_formula == rep.ssg_direct == 6
