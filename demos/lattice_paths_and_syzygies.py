@@ -34,7 +34,7 @@ print(f"  largest corner  : {couple.max_syzygy} at {couple.max_point}")
 
 # The same syzygy generators, recomputed from the raw definition as a union
 # of pairwise intersections of shifted semigroup copies.
-members, gens = brute_syzygy(S, [0, 9, 11, 8], 60)
+_, gens = brute_syzygy(S, [0, 9, 11, 8], 60)
 print(f"  brute syzygies  : {gens}")
 
 # Conductor and delta: once through the corner formulas, once by scanning.

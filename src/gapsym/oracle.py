@@ -35,7 +35,8 @@ def _greedy_minimal(S: NumericalSemigroup, mask: int, nbits: int):
 def brute_syzygy(S: NumericalSemigroup, generators, bound: int):
     """Union of pairwise intersections (S+g_i) n (S+g_j) over [0, bound].
 
-    Returns (member list, minimal generators).
+    Returns (member mask, minimal generators); bit x of the mask is set iff
+    x is a member.
     """
     gens = sorted(set(generators))
     if len(gens) < 2:
@@ -54,14 +55,14 @@ def brute_syzygy(S: NumericalSemigroup, generators, bound: int):
         raise BoundTooSmall(
             f"generator {max(mingens)} is within {S.generators[0]} of bound {bound}"
         )
-    return list(_bits(members)), mingens
+    return members, mingens
 
 
 def brute_dual(S: NumericalSemigroup, generators, bound: int):
     """All x in [0, bound] with x + d in S for every member d of the module.
 
-    Members d at or beyond c(S) impose nothing; returns (member list,
-    minimal generators).
+    Members d at or beyond c(S) impose nothing.  Returns (member mask,
+    minimal generators); bit x of the mask is set iff x is a member.
     """
     gens = sorted(set(generators))
     c = S.conductor
@@ -74,7 +75,7 @@ def brute_dual(S: NumericalSemigroup, generators, bound: int):
     members = (1 << nbits) - 1
     for d in _bits(dmask):
         members &= ext >> d
-    return list(_bits(members)), _greedy_minimal(S, members, nbits)
+    return members, _greedy_minimal(S, members, nbits)
 
 
 def enumerate_lean_sets(T: TwoGen, max_ed: int | None = None):

@@ -59,7 +59,7 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
         el += _cell_rects(T, triangle_u(T), _FILL["triangles"], "60%")
         el += _cell_rects(T, triangle_r(T), _FILL["triangles"], "60%")
     if "fg" in layers:
-        cells = {(e.a, e.b) for g in fundamental_gaps(T.semigroup()).gaps for e in [T.gap_to_lattice(g)]}
+        cells = {T.cell_of(g) for g in fundamental_gaps(T.semigroup()).gaps}
         el += _cell_rects(T, cells, _FILL["fg"], "55%")
     if "sg" in layers:
         _, sg = supersymmetric_gaps(T)

@@ -16,17 +16,25 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
-from .semigroup import NumericalSemigroup, _bits
+from .semigroup import LatticeGap, NumericalSemigroup, _bits
 
 
 class GammaSemimodule:
-    """Normalized semimodule with cached direct-scan invariants."""
+    """Normalized semimodule with cached direct-scan invariants.
 
-    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_gapmask", "_gap_list")
+    `cells` are the lattice cells of the nonzero generators, in generator
+    order, when the caller already has them; otherwise they are computed on
+    first use.
+    """
 
-    def __init__(self, base: NumericalSemigroup, min_generators):
+    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_gapmask", "_gap_list",
+                 "_cells", "_path")
+
+    def __init__(self, base: NumericalSemigroup, min_generators, cells=None):
         self.base = base
         self.min_generators = tuple(min_generators)
+        self._cells = cells
+        self._path = None
         c = base.conductor
         full = (1 << c) - 1
         table = base.member_mask(c)
@@ -61,10 +69,18 @@ class GammaSemimodule:
 
     __contains__ = member
 
+    @property
+    def cells(self):
+        """(a, b) cells of the nonzero generators (two-generator base only)."""
+        if self._cells is None:
+            T = self.base.two_gen()
+            self._cells = tuple(T.gap_to_lattice(g).point for g in self.min_generators if g != 0)
+        return self._cells
+
     def lattice_points(self):
         """Lattice cells of the nonzero generators (two-generator base only)."""
-        T = self.base.two_gen()
-        return tuple(T.gap_to_lattice(g) for g in self.min_generators if g != 0)
+        gens = [g for g in self.min_generators if g != 0]
+        return tuple(LatticeGap(a, b, g) for (a, b), g in zip(self.cells, gens))
 
     def __eq__(self, other):
         return (
@@ -90,12 +106,15 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     for x in values:
         if not any(S.contains(x - k) for k in keep):
             keep.append(x)
+    cells = None
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
         # order by the gap partial order: 0 first, then column ascending
-        rest = sorted(keep[1:], key=lambda g: T.cell_of(g)[0])
-        keep = [0] + rest
-    return GammaSemimodule(S, keep)
+        # (the nonzero members of a lean set are gaps in distinct columns)
+        rest = keep[1:]
+        cells, rest = zip(*sorted(zip(map(T.cell_of, rest), rest)))
+        keep = [0, *rest]
+    return GammaSemimodule(S, keep, cells)
 
 
 def is_lean(S: NumericalSemigroup, values) -> bool:
@@ -154,14 +173,8 @@ def dual_generators(delta: GammaSemimodule):
     of the lean set; otherwise it falls back to a direct scan.
     """
     if len(delta.base.generators) == 2 and delta.ed >= 2:
-        pts = delta.lattice_points()
         a, b = delta.base.generators
-        xs = [p.a for p in pts]
-        ys = [p.b for p in pts]
-        gens = [ys[0] * b]
-        gens += [xs[k] * a + ys[k + 1] * b for k in range(len(pts) - 1)]
-        gens.append(xs[-1] * a)
-        return sorted(set(gens))
+        return sorted({x * a + y * b for x, y in _path(delta).se_turns})
     return _dual_generators_scan(delta)
 
 
@@ -199,25 +212,33 @@ class LeanCouple:
 
 def lattice_path(delta: GammaSemimodule) -> LeanCouple:
     """Corner data of the lattice path; needs a two-generator base."""
-    S = delta.base
-    if len(S.generators) != 2:
-        raise NotTwoGenerated(f"base has generators {S.generators}")
-    if delta.ed < 2:
-        raise PrincipalModule("a principal module has no syzygy path")
-    T = S.two_gen()
-    pts = [(p.a, p.b) for p in delta.lattice_points()]
-    corners = [(0, pts[0][1])]
-    corners += [(pts[i][0], pts[i + 1][1]) for i in range(len(pts) - 1)]
-    corners.append((pts[-1][0], 0))
-    hv = tuple(T.value(a, b) for a, b in corners)
-    m = max(hv)
-    return LeanCouple(
-        es_turns=tuple(pts),
-        se_turns=tuple(corners),
-        h_values=hv,
-        max_syzygy=m,
-        max_point=corners[hv.index(m)],
-    )
+    return _path(delta)
+
+
+def _path(delta: GammaSemimodule) -> LeanCouple:
+    # Built once per module and kept on it: the conductor and delta formulas
+    # and the closed-form dual read the same corners.
+    if delta._path is None:
+        S = delta.base
+        if len(S.generators) != 2:
+            raise NotTwoGenerated(f"base has generators {S.generators}")
+        if delta.ed < 2:
+            raise PrincipalModule("a principal module has no syzygy path")
+        T = S.two_gen()
+        pts = delta.cells
+        corners = [(0, pts[0][1])]
+        corners += [(pts[i][0], pts[i + 1][1]) for i in range(len(pts) - 1)]
+        corners.append((pts[-1][0], 0))
+        hv = tuple(T.value(a, b) for a, b in corners)
+        m = max(hv)
+        delta._path = LeanCouple(
+            es_turns=pts,
+            se_turns=tuple(corners),
+            h_values=hv,
+            max_syzygy=m,
+            max_point=corners[hv.index(m)],
+        )
+    return delta._path
 
 
 def sm_conductor_formula(delta: GammaSemimodule) -> int:
@@ -228,7 +249,7 @@ def sm_conductor_formula(delta: GammaSemimodule) -> int:
     if delta.ed < 2:
         return S.conductor
     a, b = S.generators
-    return lattice_path(delta).max_syzygy - a - b + 1
+    return _path(delta).max_syzygy - a - b + 1
 
 
 def delta_formula(delta: GammaSemimodule) -> int:
@@ -238,7 +259,7 @@ def delta_formula(delta: GammaSemimodule) -> int:
         raise NotTwoGenerated(f"base has generators {S.generators}")
     if delta.ed < 2:
         return S.delta
-    pts = [(p.a, p.b) for p in delta.lattice_points()]
+    pts = _path(delta).es_turns
     cols = [0] + [a for a, _ in pts]
     area = sum((cols[i + 1] - cols[i]) * pts[i][1] for i in range(len(pts)))
     return sm_conductor_formula(delta) - S.delta + area

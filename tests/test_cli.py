@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +224,39 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--alpha", "7"])
     assert exc.value.code == 2
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from gapsym.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    # the values of <5,11>'s symmetric set: found at beta 11, so --max-beta
+    # 10 finds nothing (exit 3) and the default cap finds the pair (exit 0)
+    path = _write(tmp_path, "in.json", {"sg_values": [3, 4, 9, 14], "ssg_values": []})
+    runs = [
+        ["reconstruct", "--input", path, "--infer", "--max-beta", "ten"],
+        ["reconstruct", "--input", path, "--infer", "--max-beta", "10"],
+        ["reconstruct", "--input", path, "--infer"],
+    ]
+    results = [_in_process(argv) for argv in runs]
+    assert [code for code, _, _ in results] == [2, 3, 0]
+    assert results == [_fresh_process(argv) for argv in runs]

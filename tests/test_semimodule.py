@@ -1,6 +1,7 @@
 import pytest
 
 from gapsym import (
+    GammaSemimodule,
     NotTwoGenerated,
     PrincipalModule,
     delta_formula,
@@ -18,6 +19,8 @@ from gapsym import (
     syzygy,
     syzygy_generators,
 )
+from gapsym.oracle import brute_dual, enumerate_lean_sets
+from gapsym.survey import coprime_pairs
 
 S57 = make_semigroup([5, 7])
 S78 = make_semigroup([7, 8])
@@ -180,3 +183,41 @@ def test_module_over_naturals_edge():
     assert syzygy_generators(d) == [3, 4]
     assert sm_conductor_formula(d) == 0
     assert delta_formula(d) == 0
+
+
+def _closed_forms(d):
+    out = [d.lattice_points(), dual_generators(d), sm_conductor_formula(d), delta_formula(d)]
+    if d.ed >= 2:
+        out.append(lattice_path(d))
+    return out
+
+
+def test_cells_and_path_agree_with_direct_construction():
+    # make_semimodule hands its cells to the module; a module built directly
+    # computes them on first use.  Both must give the same closed forms, and
+    # asking twice must not change them.
+    for alpha, beta in coprime_pairs(9):
+        S = make_semigroup([alpha, beta])
+        for values in enumerate_lean_sets(S.two_gen()):
+            made = make_semimodule(S, values)
+            direct = GammaSemimodule(S, values)
+            assert direct.min_generators == made.min_generators
+            first = _closed_forms(made)
+            assert _closed_forms(direct) == first
+            assert _closed_forms(made) == first
+            assert _closed_forms(direct) == first
+            assert [(e.a, e.b) for e in made.lattice_points()] == list(made.cells)
+            assert [e.value for e in made.lattice_points()] == list(values[1:])
+
+
+def test_three_generator_base_keeps_the_scan():
+    d = make_semimodule(S4613, [0, 11])
+    with pytest.raises(NotTwoGenerated):
+        lattice_path(d)
+    with pytest.raises(NotTwoGenerated):
+        d.lattice_points()
+    with pytest.raises(NotTwoGenerated):
+        lattice_path(GammaSemimodule(S4613, [0, 11]))
+    bound = S4613.conductor + 2 * 13 + 11
+    assert dual_generators(d) == brute_dual(S4613, [0, 11], bound)[1]
+    assert dual_generators(GammaSemimodule(S4613, [0, 11])) == dual_generators(d)
