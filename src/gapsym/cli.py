@@ -41,6 +41,26 @@ from .symmetry import (
 
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
 
+# Largest sieve a command may build, in bits.  Construction allocates the
+# Schur width (m-1)(max-1) + max + 2 of the given generators at once; every
+# pair with alpha, beta up to 500 fits.
+MAX_SIEVE_BITS = 1 << 18
+
+
+def _check_width(gens):
+    """Reject (exit 3) positive generators whose sieve exceeds MAX_SIEVE_BITS.
+
+    Runs before any semigroup is built; other invalid input is left to the
+    constructors, which raise their own errors.
+    """
+    if gens and min(gens) > 0:
+        m, big = min(gens), max(gens)
+        width = (m - 1) * (big - 1) + big + 2
+        if width > MAX_SIEVE_BITS:
+            raise InconsistentInput(
+                f"generators {m}..{big} need a {width}-bit sieve; the limit is {MAX_SIEVE_BITS}"
+            )
+
 
 def _int_list(text: str):
     try:
@@ -66,6 +86,7 @@ def _sorted_cells(cells):
 
 
 def cmd_analyze(args) -> int:
+    _check_width([args.alpha, args.beta])
     T = TwoGen(args.alpha, args.beta)
     S = T.semigroup()
     if args.format == "svg":
@@ -114,6 +135,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_semimodule(args) -> int:
+    _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     if not args.module or any(v < 0 for v in args.module):
         raise InconsistentInput(f"module generators must be nonnegative, got {args.module}")
@@ -206,6 +228,11 @@ def cmd_reconstruct(args) -> int:
         values = set(data.get("sg_values", [])) | set(data.get("ssg_values", []))
         if not values:
             raise InconsistentInput("inference needs sg_values/ssg_values")
+        # every gap of a pair within the limit lies below its sieve width
+        if max(values) >= MAX_SIEVE_BITS:
+            raise InconsistentInput(
+                f"{max(values)} is no gap of any pair within the sieve limit of {MAX_SIEVE_BITS} bits"
+            )
         max_beta = args.max_beta or 4 * max(values)
         found = infer_semigroup(values, max_beta)
         if found is None:
@@ -214,6 +241,7 @@ def cmd_reconstruct(args) -> int:
         inferred = True
     else:
         raise InconsistentInput("alpha/beta missing; pass --infer to search for them")
+    _check_width([alpha, beta])
     T = TwoGen(alpha, beta)
     sg = _cells_of(T, data, "sg")
     ssg = _cells_of(T, data, "ssg")
@@ -258,6 +286,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     classes = gap_conductor_partition(S)
     report = {
@@ -286,6 +315,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_fundamental(args) -> int:
+    _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     fg = fundamental_gaps(S)
     report = {

@@ -18,7 +18,7 @@ from .symmetry import (
     triangle_r,
     triangle_u,
 )
-from .wilf import wilf_gap_formula
+from .wilf import _wilf_number
 
 LAYERS = ("grid", "diagonal", "values", "wilf", "triangles", "rectangle", "sg", "ssg", "fg")
 
@@ -90,7 +90,7 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
                     f'font-family="monospace">{e.value}</text>'
                 )
             if "wilf" in layers:
-                w = wilf_gap_formula(T, e.a, e.b).w
+                w = _wilf_number(T, e.a, e.b)
                 el.append(
                     f'<text x="{x + CELL - 3}" y="{y + 12}" font-size="10" '
                     f'font-family="monospace" text-anchor="end">{w}</text>'

@@ -36,14 +36,17 @@ class NumericalSemigroup:
         m, big = gens[0], gens[-1]
         # Schur bound: Frobenius <= (m-1)(big-1) - 1, so conductor <= (m-1)(big-1).
         nbits = (m - 1) * (big - 1) + big + 2
+        full = (1 << nbits) - 1
+        # Close under each generator by doubling: after the shifts by g, 2g,
+        # ..., 2^k g the table holds every multiple of g up to (2^(k+1)-1) g.
         table = 1
-        for x in range(1, nbits):
-            for g in gens:
-                if x >= g and (table >> (x - g)) & 1:
-                    table |= 1 << x
-                    break
+        for g in gens:
+            step = g
+            while step < nbits:
+                table |= (table << step) & full
+                step <<= 1
 
-        gapmask = ~table & ((1 << nbits) - 1)
+        gapmask = ~table & full
         self.conductor = gapmask.bit_length()
         self.frobenius = self.conductor - 1
         self.gaps = tuple(_bits(gapmask))
@@ -51,7 +54,7 @@ class NumericalSemigroup:
         self._table = table
         self._gapmask = gapmask
         self._twogen = None
-        self.generators = tuple(_minimal_generators(table, nbits))
+        self.generators = tuple(_peel(table & ~1, table, full))
 
     @classmethod
     def _from_sieve(cls, generators, conductor, gaps, table, nbits):
@@ -118,21 +121,24 @@ class NumericalSemigroup:
 
 
 def _bits(mask: int):
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+def _peel(mask: int, table: int, full: int):
+    """Minimal generators of the members in mask, ascending, where table is
+    the membership mask of the semigroup acting on them.
+
+    The lowest member left is minimal; clearing its shifted copy of the
+    semigroup, (table << h) & full, leaves only members that are not sums of
+    a generator already taken and a semigroup element.
+    """
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _minimal_generators(table: int, nbits: int):
-    # x is a minimal generator iff x is a nonzero member that is not a sum
-    # of two nonzero members.
-    nonzero = table & ~1
-    full = (1 << nbits) - 1
-    sums = 0
-    for s in _bits(nonzero):
-        sums |= (nonzero << s) & full
-    return _bits(nonzero & ~sums)
+        h = (mask & -mask).bit_length() - 1
+        out.append(h)
+        mask &= ~((table << h) & full)
+    return out
 
 
 def make_semigroup(generators) -> NumericalSemigroup:

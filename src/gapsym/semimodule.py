@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
-from .semigroup import LatticeGap, NumericalSemigroup, _bits
+from .semigroup import LatticeGap, NumericalSemigroup, _bits, _peel
 
 
 class GammaSemimodule:
@@ -135,14 +135,7 @@ def _syzygy_mask(delta: GammaSemimodule, nbits: int) -> int:
 
 
 def _minimal_generators_of_mask(S: NumericalSemigroup, mask: int, nbits: int):
-    table = S.member_mask(nbits)
-    full = (1 << nbits) - 1
-    out = []
-    while mask:
-        h = (mask & -mask).bit_length() - 1
-        out.append(h)
-        mask &= ~((table << h) & full)
-    return out
+    return _peel(mask, S.member_mask(nbits), (1 << nbits) - 1)
 
 
 def _scan_bits(S: NumericalSemigroup) -> int:

@@ -16,7 +16,7 @@ from math import gcd
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
 from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import make_semimodule
-from .wilf import wilf_gap_formula
+from .wilf import _wilf_number
 
 Cells = frozenset
 
@@ -41,8 +41,11 @@ def triangle_u(T: TwoGen) -> frozenset:
 
 
 def triangle_r(T: TwoGen) -> frozenset:
-    """Gap cells strictly right of the vertical midline a = floor(beta/2)."""
-    return _column_cells(T, range(T.beta // 2 + 1, T.beta))
+    """Gap cells strictly right of the vertical midline a = floor(beta/2).
+
+    Columns past row_length(1) hold no gap, so the scan stops there.
+    """
+    return _column_cells(T, range(T.beta // 2 + 1, T.row_length(1) + 1))
 
 
 def _smaller_triangle(tu: frozenset, tr: frozenset):
@@ -206,18 +209,66 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     return cell_values(T, result)
 
 
+def _corner_betas(alpha: int, top: int):
+    """Every beta > alpha for which top is the value of one of the four block
+    corners of <alpha, beta>; alpha >= 3.
+
+    Each corner value is linear in beta (for each parity of beta at the
+    corners (beta//2, 1) and (beta//2 + 1, 1)), so each equation has at most
+    one solution:
+
+    - (1, alpha//2):      value = ceil(alpha/2) * beta - alpha;
+    - (1, alpha//2 + 1):  value = (ceil(alpha/2) - 1) * beta - alpha;
+    - (beta//2, 1):       value = k(alpha-2) for beta = 2k,
+                          k(alpha-2) + alpha - 1 for beta = 2k+1;
+    - (beta//2 + 1, 1):   value = k(alpha-2) - alpha for beta = 2k,
+                          k(alpha-2) - 1 for beta = 2k+1.
+    """
+    half = alpha - alpha // 2
+    d = alpha - 2
+    solutions = (
+        (top + alpha, half, 1, 0),
+        (top + alpha, half - 1, 1, 0),
+        (top, d, 2, 0),
+        (top - alpha + 1, d, 2, 1),
+        (top + alpha, d, 2, 0),
+        (top + 1, d, 2, 1),
+    )
+    betas = set()
+    for num, den, scale, parity in solutions:
+        k, r = divmod(num, den)
+        beta = scale * k + parity
+        if r == 0 and beta > alpha:
+            betas.add(beta)
+    return betas
+
+
 def _candidate_pairs(top: int, max_beta: int):
     """Coprime pairs (alpha, beta) with beta <= max_beta that the bound of
-    `infer_semigroup` allows for largest value top, in ascending order."""
+    `infer_semigroup` allows for largest value top and that have top as a
+    block corner value, in ascending order."""
     if top % 2 and top + 2 <= max_beta:
         yield 2, top + 2
     bound = 2 * top + 4
     alpha = 3
     while (alpha - 2) * (alpha - 1) <= bound:
-        for beta in range(alpha + 1, min(max_beta, 2 + bound // (alpha - 2)) + 1):
-            if gcd(alpha, beta) == 1:
+        limit = min(max_beta, 2 + bound // (alpha - 2))
+        for beta in sorted(_corner_betas(alpha, top)):
+            if beta <= limit and gcd(alpha, beta) == 1:
                 yield alpha, beta
         alpha += 1
+
+
+def _symmetric_count(T: TwoGen) -> int:
+    """|SG| + |SSG| summed over the row lengths, without building a cell."""
+    half_b, half_a = T.alpha // 2, T.beta // 2
+    rows = [T.row_length(b) for b in range(1, T.alpha)]
+    t_u = sum(rows[half_b:])
+    t_r = sum(max(0, n - half_a) for n in rows)
+    ssg = rows[half_b - 1] if T.alpha % 2 == 0 else 0
+    if T.beta % 2 == 0:
+        ssg += T.column_height(half_a)
+    return min(t_u, t_r) + ssg
 
 
 def infer_semigroup(values, max_beta: int):
@@ -247,10 +298,13 @@ def infer_semigroup(values, max_beta: int):
     match has beta > 4V; and for alpha = 2, beta = V+2 <= 4V.  A max_beta of
     4V, the CLI default, therefore misses nothing.
 
-    Before any triangle is built, a candidate is dropped unless every target
-    value is a gap and V is the corner value of one of the blocks a match
-    can hold: the self-symmetric row (1, alpha//2) or column (beta//2, 1),
-    T_u at (1, alpha//2 + 1) or T_r at (beta//2 + 1, 1).
+    A match also has V as the corner value of one of the blocks it can
+    hold: the self-symmetric row (1, alpha//2) or column (beta//2, 1), T_u
+    at (1, alpha//2 + 1) or T_r at (beta//2 + 1, 1).  Each corner equation
+    is solved for beta (`_corner_betas`), so the candidates number at most
+    six per alpha, O(sqrt V) in all.  Before any triangle is built, a
+    candidate is dropped unless every target value is a gap and the
+    symmetric sets hold as many cells as there are target values.
     """
     target = set(values)
     top = max(target, default=0)
@@ -259,13 +313,7 @@ def infer_semigroup(values, max_beta: int):
     matches = []
     for alpha, beta in _candidate_pairs(top, max_beta):
         T = TwoGen(alpha, beta)
-        corners = (
-            T.value(1, alpha // 2),
-            T.value(1, alpha // 2 + 1),
-            T.value(beta // 2, 1),
-            T.value(beta // 2 + 1, 1),
-        )
-        if top not in corners or any(T.cell_of(v) is None for v in target):
+        if any(T.cell_of(v) is None for v in target) or _symmetric_count(T) != len(target):
             continue
         _, sg = supersymmetric_gaps(T)
         vals = set(cell_values(T, sg)) | set(cell_values(T, self_symmetric_gaps(T)))
@@ -396,5 +444,7 @@ def gap_conductor_partition(S: NumericalSemigroup):
 def wilf_grid(T: TwoGen):
     """All cells with gap value and Wilf number, row-major (b desc, a asc)."""
     return tuple(
-        (e.a, e.b, e.value, wilf_gap_formula(T, e.a, e.b).w) for e in T.lattice_gaps()
+        (a, b, T.value(a, b), _wilf_number(T, a, b))
+        for b in range(T.alpha - 1, 0, -1)
+        for a in range(1, T.row_length(b) + 1)
     )

@@ -52,6 +52,14 @@ def wilf_gap(S: NumericalSemigroup, g: int) -> int:
     return 2 * d.delta - d.conductor
 
 
+def _wilf_number(T: TwoGen, a: int, b: int) -> int:
+    """Closed-form Wilf number of the cell (a, b), which is not checked to be
+    a gap cell: the branch of `wilf_gap_formula`, as a plain int."""
+    if b * T.beta > a * T.alpha:
+        return 2 * a * b - a * T.alpha
+    return 2 * a * b - b * T.beta
+
+
 def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:
     """Closed form for the gap at cell (a, b) of a two-generator semigroup.
 
@@ -59,15 +67,14 @@ def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:
     h1 = alpha*beta - a*alpha; the smaller one selects the branch:
     -W = a*alpha - 2ab when h0 is smaller, -W = b*beta - 2ab otherwise.
     """
-    g = T.lattice_to_gap(a, b)
+    T.lattice_to_gap(a, b)  # raises OutOfTriangle off the gap lattice
     h0 = T.product - b * T.beta
     h1 = T.product - a * T.alpha
+    w = _wilf_number(T, a, b)
     if h0 < h1:
-        w = 2 * a * b - a * T.alpha
         branch = "beta_term"
         m = h1
     else:
-        w = 2 * a * b - b * T.beta
         branch = "alpha_term"
         m = h0
     conductor = m - T.alpha - T.beta + 1

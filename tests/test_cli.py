@@ -260,3 +260,48 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     results = [_in_process(argv) for argv in runs]
     assert [code for code, _, _ in results] == [2, 3, 0]
     assert results == [_fresh_process(argv) for argv in runs]
+
+
+def test_sieve_limit_boundary():
+    from gapsym.cli import MAX_SIEVE_BITS, _check_width
+    from gapsym.errors import InconsistentInput
+
+    assert MAX_SIEVE_BITS == 1 << 18
+    _check_width([1, MAX_SIEVE_BITS - 2])  # width exactly at the limit
+    _check_width([2, (MAX_SIEVE_BITS - 1) // 2])
+    _check_width([0, 10**12])  # left to the constructor's own error
+    with pytest.raises(InconsistentInput):
+        _check_width([1, MAX_SIEVE_BITS - 1])
+    with pytest.raises(InconsistentInput):
+        _check_width([2, 131073])
+
+
+def test_sieve_limit_exits_3(tmp_path, capsys):
+    # Each input is just over the limit yet cheap to build and to report on,
+    # so a missing check shows as a wrong exit code.
+    over = str((1 << 18) - 1)  # width (1-1)(max-1) + max + 2 = 2^18 + 1
+    argvs = [
+        ["analyze", "--alpha", "2", "--beta", "131073"],
+        ["analyze", "--alpha", "2", "--beta", "131073", "--format", "svg"],
+        ["semimodule", "--gens", "1," + over, "--module", "0"],
+        ["classes", "--gens", "1," + over],
+        ["fundamental", "--gens", "1," + over],
+        ["reconstruct", "--input", _write(tmp_path, "pair.json", {
+            "alpha": 2, "beta": 131073, "sg_cells": [], "ssg_cells": [[1, 1]]})],
+    ]
+    for argv in argvs:
+        assert main(argv) == 3, argv
+        assert "limit" in capsys.readouterr().err, argv
+
+
+def test_sieve_limit_applies_to_inferred_pair(tmp_path, capsys):
+    # every gap of <2, 131073> is self-symmetric and no other pair has these
+    # values; its sieve width is 2^18 + 3
+    path = _write(tmp_path, "values.json", {
+        "sg_values": [], "ssg_values": list(range(1, 131072, 2))})
+    assert main(["reconstruct", "--input", path, "--infer"]) == 3
+    assert "limit" in capsys.readouterr().err
+    # a value at or above the limit is no gap of any pair within it
+    path = _write(tmp_path, "top.json", {"sg_values": [1 << 18], "ssg_values": []})
+    assert main(["reconstruct", "--input", path, "--infer"]) == 3
+    assert "limit" in capsys.readouterr().err

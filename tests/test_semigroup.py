@@ -150,3 +150,83 @@ def test_two_gen_from_semigroup():
     T = make_semigroup([7, 8]).two_gen()
     assert (T.alpha, T.beta) == (7, 8)
     assert T.semigroup() is not None
+
+
+def _reference_construction(generators):
+    """(generators, conductor, gaps, table) by the quadratic sieve and the
+    sum-set reduction that NumericalSemigroup used before the doubling
+    sieve; kept here as the reference."""
+    gens = sorted(set(generators))
+    m, big = gens[0], gens[-1]
+    nbits = (m - 1) * (big - 1) + big + 2
+    table = 1
+    for x in range(1, nbits):
+        for g in gens:
+            if x >= g and (table >> (x - g)) & 1:
+                table |= 1 << x
+                break
+    full = (1 << nbits) - 1
+    gapmask = ~table & full
+    nonzero = table & ~1
+    sums = 0
+    for s in range(nbits):
+        if (nonzero >> s) & 1:
+            sums |= (nonzero << s) & full
+    minimal = nonzero & ~sums
+    return (
+        tuple(x for x in range(nbits) if (minimal >> x) & 1),
+        gapmask.bit_length(),
+        tuple(x for x in range(nbits) if (gapmask >> x) & 1),
+        table,
+    )
+
+
+def _construction_inputs():
+    import random
+    from functools import reduce
+    from math import gcd
+
+    from gapsym.oracle import enumerate_semigroups_by_genus
+    from gapsym.survey import coprime_pairs
+
+    yield [1]
+    for S in enumerate_semigroups_by_genus(12):
+        yield list(S.generators)
+    for pair in sorted(coprime_pairs(60)):
+        yield list(pair)
+    rng = random.Random(20201)
+    for k in (3, 4):
+        n = 0
+        while n < 300:
+            gens = rng.sample(range(2, 41), k)
+            if reduce(gcd, gens) == 1:
+                n += 1
+                yield gens
+
+
+def test_construction_matches_reference_sieve():
+    count = 0
+    for gens in _construction_inputs():
+        S = make_semigroup(gens)
+        got = (S.generators, S.conductor, S.gaps, S._table)
+        assert got == _reference_construction(gens), gens
+        count += 1
+    assert count > 2500
+
+
+def test_bits_matches_naive_scan():
+    import random
+
+    from gapsym.semigroup import _bits
+
+    rng = random.Random(7)
+    masks = [
+        0,
+        1,
+        (1 << 5000) | (1 << 3) | 1,
+        (1 << 3000) - 1,
+        rng.getrandbits(20000),
+        rng.getrandbits(12000) << 4000,
+    ]
+    for mask in masks:
+        assert _bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]

@@ -243,6 +243,53 @@ def test_infer_semigroup_large_round_trips():
         assert infer_semigroup(values, 4 * top) == pair
 
 
+def _filtered_enumeration(top, cap):
+    """Every pair the search bound allows, kept when top is a block corner
+    value: the candidate list before the corner equations were solved."""
+    from math import gcd
+
+    out = [(2, top + 2)] if top % 2 and top + 2 <= cap else []
+    bound = 2 * top + 4
+    alpha = 3
+    while (alpha - 2) * (alpha - 1) <= bound:
+        for beta in range(alpha + 1, min(cap, 2 + bound // (alpha - 2)) + 1):
+            if gcd(alpha, beta) == 1:
+                T = TwoGen(alpha, beta)
+                corners = (T.value(1, alpha // 2), T.value(1, alpha // 2 + 1),
+                           T.value(beta // 2, 1), T.value(beta // 2 + 1, 1))
+                if top in corners:
+                    out.append((alpha, beta))
+        alpha += 1
+    return out
+
+
+def test_candidate_pairs_match_filtered_enumeration():
+    from gapsym.symmetry import _candidate_pairs
+
+    for top in range(1, 400):
+        for cap in (4 * top, 3 * top, 10, 20):
+            assert list(_candidate_pairs(top, cap)) == _filtered_enumeration(top, cap), (top, cap)
+
+
+def test_candidate_pairs_are_few():
+    from math import isqrt
+
+    from gapsym.symmetry import _candidate_pairs
+
+    top = 10**6
+    pairs = list(_candidate_pairs(top, 4 * top))
+    assert pairs == sorted(set(pairs))
+    assert len(pairs) <= 6 * isqrt(2 * top + 4)
+    assert infer_semigroup({top}, 4 * top) is None
+
+
+def test_symmetric_count_matches_cells():
+    from gapsym.symmetry import _symmetric_count
+
+    for (alpha, beta), values in SYMMETRIC_VALUES.items():
+        assert _symmetric_count(TwoGen(alpha, beta)) == len(values), (alpha, beta)
+
+
 def test_card_formulas():
     rep = card_formulas(TwoGen(8, 13))
     assert rep.ssg_formula == rep.ssg_direct == 6
