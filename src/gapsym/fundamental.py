@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAGap, NotASemigroup, XNotInGaps
+from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
 from .symmetry import self_symmetric_gaps, supersymmetric_gaps
 from .wilf import wilf_gap
@@ -90,13 +90,11 @@ class RedChecks:
 
 
 def red_equivalence(T: TwoGen, g: int) -> RedChecks:
-    cell = T.gap_to_lattice(g)
+    a, b = T.gap_to_lattice(g).point  # raises NotAGap for 0, negatives and members
     S = T.semigroup()
-    if S.contains(g):
-        raise NotAGap(f"{g} is not a gap")
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),
-        in_rectangle=(1 <= cell.a <= T.beta // 2 and 1 <= cell.b <= T.alpha // 2),
+        in_rectangle=(1 <= a <= T.beta // 2 and 1 <= b <= T.alpha // 2),
         wilf_nonpositive=(wilf_gap(S, g) <= 0),
     )
 

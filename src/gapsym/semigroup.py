@@ -237,16 +237,21 @@ class TwoGen:
             raise NotAGap(f"{g} is not a gap of <{self.alpha}, {self.beta}>")
         return LatticeGap(cell[0], cell[1], g)
 
+    def walk(self):
+        """Yield (a, b, value) for every gap cell, row-major from the top row
+        (b descending, a ascending), without building a LatticeGap per cell."""
+        alpha = self.alpha
+        for b in range(alpha - 1, 0, -1):
+            top = self.product - b * self.beta
+            for a in range(1, self.row_length(b) + 1):
+                yield a, b, top - a * alpha
+
     def lattice_gaps(self):
         """All gap cells, row-major from the top row (b descending, a ascending)."""
-        out = []
-        for b in range(self.alpha - 1, 0, -1):
-            for a in range(1, self.row_length(b) + 1):
-                out.append(LatticeGap(a, b, self.value(a, b)))
-        return tuple(out)
+        return tuple(LatticeGap(a, b, v) for a, b, v in self.walk())
 
     def gap_values(self):
-        return tuple(sorted(e.value for e in self.lattice_gaps()))
+        return tuple(sorted(v for _, _, v in self.walk()))
 
     def __repr__(self):
         return f"TwoGen({self.alpha}, {self.beta})"

@@ -20,14 +20,15 @@ from .semigroup import LatticeGap, NumericalSemigroup, _bits, _peel
 
 
 class GammaSemimodule:
-    """Normalized semimodule with cached direct-scan invariants.
+    """Normalized semimodule whose direct-scan invariants (membership mask,
+    conductor and delta) are computed together on first read and kept.
 
     `cells` are the lattice cells of the nonzero generators, in generator
     order, when the caller already has them; otherwise they are computed on
     first use.
     """
 
-    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_gapmask", "_gap_list",
+    __slots__ = ("base", "min_generators", "_mask", "_conductor", "_delta", "_gap_list",
                  "_cells", "_path")
 
     def __init__(self, base: NumericalSemigroup, min_generators, cells=None):
@@ -35,24 +36,44 @@ class GammaSemimodule:
         self.min_generators = tuple(min_generators)
         self._cells = cells
         self._path = None
-        c = base.conductor
-        full = (1 << c) - 1
-        table = base.member_mask(c)
-        mask = 0
-        for g in self.min_generators:
-            mask |= (table << g) & full
-        gapmask = ~mask & full
-        self._mask = mask
-        self._gapmask = gapmask
+        self._mask = None
         self._gap_list = None
-        self.conductor = gapmask.bit_length()
-        self.delta = (mask & ((1 << self.conductor) - 1)).bit_count()
+
+    def _scan(self) -> int:
+        # One pass fills the mask, the conductor and delta; most modules in a
+        # sweep read only their generators, and the rest read these often.
+        if self._mask is None:
+            c = self.base.conductor
+            full = (1 << c) - 1
+            table = self.base.member_mask(c)
+            mask = 0
+            for g in self.min_generators:
+                mask |= (table << g) & full
+            self._conductor = (~mask & full).bit_length()
+            self._delta = (mask & ((1 << self._conductor) - 1)).bit_count()
+            self._mask = mask
+        return self._mask
+
+    @property
+    def conductor(self) -> int:
+        """Least x such that every integer from x on is a member."""
+        if self._mask is None:
+            self._scan()
+        return self._conductor
+
+    @property
+    def delta(self) -> int:
+        """Number of members below the conductor."""
+        if self._mask is None:
+            self._scan()
+        return self._delta
 
     @property
     def gap_list(self):
         """Naturals missing from the module, ascending."""
         if self._gap_list is None:
-            self._gap_list = tuple(_bits(self._gapmask))
+            mask = self._scan()
+            self._gap_list = tuple(_bits(~mask & ((1 << self._conductor) - 1)))
         return self._gap_list
 
     @property
@@ -65,7 +86,7 @@ class GammaSemimodule:
             return False
         if x >= self.base.conductor:
             return True
-        return bool((self._mask >> x) & 1)
+        return bool((self._scan() >> x) & 1)
 
     __contains__ = member
 
@@ -101,11 +122,15 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     if not generators:
         raise EmptyInput("need at least one generator")
     base = min(generators)
-    values = sorted(set(g - base for g in generators))
-    keep = []
-    for x in values:
-        if not any(S.contains(x - k) for k in keep):
-            keep.append(x)
+    # Normalized generators at or above the conductor lie in 0 + S, so the
+    # kept 0 makes them redundant; the rest are peeled as one bitmask.
+    n = max(S.conductor, 1)
+    vmask = 0
+    for g in generators:
+        x = g - base
+        if x < n:
+            vmask |= 1 << x
+    keep = _peel(vmask, S.member_mask(n), (1 << n) - 1)
     cells = None
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
@@ -258,21 +283,35 @@ def delta_formula(delta: GammaSemimodule) -> int:
     return sm_conductor_formula(delta) - S.delta + area
 
 
+def _is_translate(gens, delta: GammaSemimodule) -> bool:
+    # gens are minimal generators, ascending (the output of _peel); a shift
+    # keeps them minimal, so normalizing them is subtracting gens[0].
+    return {x - gens[0] for x in gens} == set(delta.min_generators)
+
+
 def is_fixed_point(delta: GammaSemimodule) -> bool:
-    """Whether the normalized syzygy module has the same minimal generators."""
+    """Whether the normalized syzygy module has the same minimal generators.
+
+    Compares {s - s0 : s in syzygy_generators(delta)}, s0 the least, with the
+    generators as sets.  The scanned generators are minimal and stay minimal
+    under the shift, so the left side is the generating set of the normalized
+    syzygy module without building that module.
+    """
     if delta.ed < 2:
         raise PrincipalModule("fixed points are defined via the syzygy module")
-    return syzygy(delta).min_generators == delta.min_generators
+    return _is_translate(syzygy_generators(delta), delta)
 
 
 def is_selfdual(delta: GammaSemimodule) -> bool:
     """Whether the dual is a translate of the module itself.
 
     Always evaluated through the direct dual scan so that it stays an
-    independent cross-check of the closed-form dual generators.
+    independent cross-check of the closed-form dual generators.  As in
+    `is_fixed_point`, the scanned generators shifted by their least one are
+    compared with the generators as sets: a shift keeps them minimal, so the
+    left side is the generating set of the normalized dual module.
     """
-    gens = _dual_generators_scan(delta)
-    return make_semimodule(delta.base, gens).min_generators == delta.min_generators
+    return _is_translate(_dual_generators_scan(delta), delta)
 
 
 def is_symmetric_sm(delta: GammaSemimodule) -> bool:
@@ -280,7 +319,7 @@ def is_symmetric_sm(delta: GammaSemimodule) -> bool:
     cd = delta.conductor
     if cd == 0:
         return True
-    m = delta._mask & ((1 << cd) - 1)
+    m = delta._scan() & ((1 << cd) - 1)
     rev = int(f"{m:0{cd}b}"[::-1], 2)
     return m == ~rev & ((1 << cd) - 1)
 

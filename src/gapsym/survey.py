@@ -61,10 +61,9 @@ def _check_partition(T, res):
         res.violations.append(f"({T.alpha},{T.beta}) block sizes miss the genus")
     S = T.semigroup()
     rect = rectangle_cells(T)
-    for e in T.lattice_gaps():
-        doubled = S.contains(2 * e.value)
-        if doubled != ((e.a, e.b) in rect):
-            res.violations.append(f"({T.alpha},{T.beta}) gap {e.value} rectangle mismatch")
+    for a, b, g in T.walk():
+        if S.contains(2 * g) != ((a, b) in rect):
+            res.violations.append(f"({T.alpha},{T.beta}) gap {g} rectangle mismatch")
 
 
 def _check_reconstruct(T, res):
@@ -75,17 +74,17 @@ def _check_reconstruct(T, res):
 
 
 def _check_equifix(T, res):
-    for e in T.lattice_gaps():
-        checks = zero_wilf_equivalences(T, e.value)
+    for _, _, g in T.walk():
+        checks = zero_wilf_equivalences(T, g)
         if not checks.all_agree():
-            res.violations.append(f"({T.alpha},{T.beta}) gap {e.value}: {checks}")
+            res.violations.append(f"({T.alpha},{T.beta}) gap {g}: {checks}")
 
 
 def _check_red(T, res):
-    for e in T.lattice_gaps():
-        checks = red_equivalence(T, e.value)
+    for _, _, g in T.walk():
+        checks = red_equivalence(T, g)
         if not checks.all_agree():
-            res.violations.append(f"({T.alpha},{T.beta}) gap {e.value}: {checks}")
+            res.violations.append(f"({T.alpha},{T.beta}) gap {g}: {checks}")
 
 
 def _check_uff(T, res):

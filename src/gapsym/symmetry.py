@@ -22,7 +22,7 @@ Cells = frozenset
 
 
 def _lg_cells(T: TwoGen) -> frozenset:
-    return frozenset((e.a, e.b) for e in T.lattice_gaps())
+    return frozenset((a, b) for a, b, _ in T.walk())
 
 
 def _row_cells(T: TwoGen, rows) -> frozenset:
@@ -443,8 +443,4 @@ def gap_conductor_partition(S: NumericalSemigroup):
 
 def wilf_grid(T: TwoGen):
     """All cells with gap value and Wilf number, row-major (b desc, a asc)."""
-    return tuple(
-        (a, b, T.value(a, b), _wilf_number(T, a, b))
-        for b in range(T.alpha - 1, 0, -1)
-        for a in range(1, T.row_length(b) + 1)
-    )
+    return tuple((a, b, v, _wilf_number(T, a, b)) for a, b, v in T.walk())

@@ -109,12 +109,11 @@ class ZeroWilfChecks:
 
 def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
     """Evaluate all five predicates for the module [0, g] independently."""
-    cell = T.gap_to_lattice(g)
-    S = T.semigroup()
-    d = make_semimodule(S, [0, g])
+    a, b = T.gap_to_lattice(g).point
+    d = make_semimodule(T.semigroup(), [0, g])
     return ZeroWilfChecks(
         wilf_zero=(2 * d.delta - d.conductor == 0),
-        on_half_line=(T.alpha == 2 * cell.b or T.beta == 2 * cell.a),
+        on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
         fixed_point=is_fixed_point(d),
         selfdual=is_selfdual(d),
         symmetric=is_symmetric_sm(d),

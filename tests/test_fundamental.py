@@ -1,6 +1,7 @@
 import pytest
 
 from gapsym import (
+    NotAGap,
     NotASemigroup,
     TwoGen,
     XNotInGaps,
@@ -11,6 +12,7 @@ from gapsym import (
     make_semigroup,
     red_equivalence,
     semigroup_from_fg,
+    zero_wilf_equivalences,
 )
 from gapsym.oracle import enumerate_semigroups_by_genus
 from gapsym.survey import coprime_pairs
@@ -130,3 +132,12 @@ def test_alpha2_fg_formula():
     for beta in range(3, 42, 2):
         cc = compare_counts(TwoGen(2, beta))
         assert cc.fg == cc.alpha2_fg_formula, beta
+
+
+@pytest.mark.parametrize("check", [red_equivalence, zero_wilf_equivalences])
+@pytest.mark.parametrize("g", [5, 12, 0, -1])
+def test_per_gap_checks_reject_non_gaps(check, g):
+    # members (5, 12), 0 and negatives all fail the cell lookup itself
+    with pytest.raises(NotAGap) as exc:
+        check(TwoGen(5, 7), g)
+    assert str(exc.value) == f"{g} is not a gap of <5, 7>"

@@ -123,6 +123,25 @@ def test_lattice_bijection_round_trip():
                 assert T.lattice_to_gap(e.a, e.b) == e.value
 
 
+def test_walk_matches_lattice_gaps():
+    # the walk is what lattice_gaps is built on, so it is also checked against
+    # the cell definition: 1 <= a, 1 <= b, positive value, b descending then a
+    from gapsym.survey import coprime_pairs
+
+    for alpha, beta in coprime_pairs(40):
+        T = TwoGen(alpha, beta)
+        walk = list(T.walk())
+        assert walk == [(e.a, e.b, e.value) for e in T.lattice_gaps()]
+        cells = [
+            (a, b, alpha * beta - a * alpha - b * beta)
+            for b in range(alpha - 1, 0, -1)
+            for a in range(1, beta)
+            if alpha * beta - a * alpha - b * beta > 0
+        ]
+        assert walk == cells
+        assert T.gap_values() == make_semigroup([alpha, beta]).gaps
+
+
 def test_gap_order():
     T = TwoGen(5, 7)
     e9, e11 = T.gap_to_lattice(9), T.gap_to_lattice(11)

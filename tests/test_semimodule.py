@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from gapsym import (
@@ -20,6 +23,7 @@ from gapsym import (
     syzygy_generators,
 )
 from gapsym.oracle import brute_dual, enumerate_lean_sets
+from gapsym.semimodule import _dual_generators_scan
 from gapsym.survey import coprime_pairs
 
 S57 = make_semigroup([5, 7])
@@ -221,3 +225,133 @@ def test_three_generator_base_keeps_the_scan():
     bound = S4613.conductor + 2 * 13 + 11
     assert dual_generators(d) == brute_dual(S4613, [0, 11], bound)[1]
     assert dual_generators(GammaSemimodule(S4613, [0, 11])) == dual_generators(d)
+
+
+def _reference_min_generators(S, generators):
+    """Reference minimalization: the quadratic scan over the normalized
+    values, then the staircase order (with the cells) for a two-generator
+    base."""
+    base = min(generators)
+    keep = []
+    for x in sorted(set(g - base for g in generators)):
+        if not any(S.contains(x - k) for k in keep):
+            keep.append(x)
+    if len(S.generators) == 2 and len(keep) > 1:
+        cells, rest = zip(*sorted((S.two_gen().cell_of(g), g) for g in keep[1:]))
+        return (0, *rest), cells
+    return tuple(keep), None
+
+
+def _table(S):
+    return sum(1 << x for x in range(S.conductor) if S.contains(x))
+
+
+_FLIP = str.maketrans("01", "10")
+
+
+def _reference_scan(S, table, gens):
+    """Eager reference scan: membership of gens + S below c(S) as a 0/1
+    string indexed by x, and the conductor, delta, gaps and symmetry read
+    from it."""
+    c = S.conductor
+    mask = 0
+    for g in gens:
+        mask |= (table << g) & ((1 << c) - 1)
+    bits = format(mask, f"0{c}b")[::-1] if c else ""
+    conductor = bits.rfind("0") + 1
+    below = bits[:conductor]
+    gaps = tuple(x for x, ch in enumerate(below) if ch == "0")
+    symmetric = below == below[::-1].translate(_FLIP)
+    return bits, conductor, below.count("1"), gaps, symmetric
+
+
+def _check_against_reference(S, table, generators, first_read=0):
+    """make_semimodule against the references; first_read picks which lazy
+    invariant a fresh module is asked for first."""
+    keep, cells = _reference_min_generators(S, generators)
+    bits, conductor, delta, gaps, symmetric = _reference_scan(S, table, keep)
+    top = S.conductor + max(keep)
+    expected_members = [False] + [ch == "1" for ch in bits] + [True] * (top + 1 - len(bits))
+
+    d = make_semimodule(S, generators)
+    assert d.min_generators == keep
+    reads = [
+        lambda: list(map(d.member, range(-1, top + 1))) == expected_members,
+        lambda: d.gap_list == gaps,
+        lambda: is_symmetric_sm(d) == symmetric,
+        lambda: (d.conductor, d.delta) == (conductor, delta),
+    ]
+    for i in range(len(reads)):
+        assert reads[(first_read + i) % len(reads)]()
+    if cells is not None:
+        assert d.cells == cells
+
+
+def test_make_semimodule_matches_quadratic_scan_on_lean_sets():
+    for alpha, beta in coprime_pairs(12):
+        S = make_semigroup([alpha, beta])
+        table = _table(S)
+        for i, values in enumerate(enumerate_lean_sets(S.two_gen())):
+            _check_against_reference(S, table, values, i)
+
+
+def test_make_semimodule_matches_quadratic_scan_on_arbitrary_lists():
+    # unsorted, duplicated, non-lean and negative generator lists
+    rng = random.Random(20201103)
+    bases = [S57, S78, S58, S4613, make_semigroup([3, 10]), make_semigroup([6, 9, 20])]
+    for S in bases:
+        top = S.conductor + 2 * S.generators[-1]
+        table = _table(S)
+        for i in range(200):
+            gens = [rng.randint(-20, top) for _ in range(rng.randint(1, 7))]
+            gens += rng.sample(gens, rng.randint(0, len(gens)))
+            rng.shuffle(gens)
+            _check_against_reference(S, table, gens, i)
+    for i, gens in enumerate(([0, 1], [0, 2, 7], [0, 11], [3, 5], [16, 0, 1, 1], [-4, -2, 9])):
+        _check_against_reference(S4613, _table(S4613), gens, i)
+
+
+def test_make_semimodule_over_the_naturals():
+    # <1> has conductor 0: every generator other than the least is redundant
+    S1 = make_semigroup([1])
+    for i, gens in enumerate(([0], [0, 1], [5, 3, 9], [-2, 0, 7, -2])):
+        _check_against_reference(S1, 0, gens, i)
+        d = make_semimodule(S1, gens)
+        assert (d.min_generators, d.conductor, d.delta, d.gap_list) == ((0,), 0, 0, ())
+
+
+# the predicates as defined through the normalized module, built in full
+def _fixed_point_by_module(d):
+    return syzygy(d).min_generators == d.min_generators
+
+
+def _selfdual_by_module(d):
+    return make_semimodule(d.base, _dual_generators_scan(d)).min_generators == d.min_generators
+
+
+def _modules_4613():
+    gaps = S4613.gaps
+    for k in range(len(gaps) + 1):
+        for extra in combinations(gaps, k):
+            yield make_semimodule(S4613, [0, *extra])
+
+
+def test_predicates_match_normalized_module_definitions():
+    modules = [
+        make_semimodule(S, values)
+        for alpha, beta in coprime_pairs(12)
+        for S in [make_semigroup([alpha, beta])]
+        for values in enumerate_lean_sets(S.two_gen())
+    ]
+    modules += list(_modules_4613())
+    fixed = selfdual = 0
+    for d in modules:
+        got = is_selfdual(d)
+        assert got == _selfdual_by_module(d), d
+        selfdual += got
+        if d.ed >= 2:
+            got = is_fixed_point(d)
+            assert got == _fixed_point_by_module(d), d
+            fixed += got
+    # both predicates take both values on this range
+    assert 0 < fixed < len(modules) and 0 < selfdual < len(modules)
