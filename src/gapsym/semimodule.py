@@ -20,15 +20,14 @@ from .semigroup import LatticeGap, NumericalSemigroup, _bits, _peel
 
 
 class GammaSemimodule:
-    """Normalized semimodule whose direct-scan invariants (membership mask,
-    conductor and delta) are computed together on first read and kept.
+    """Normalized semimodule with cached direct-scan invariants.
 
     `cells` are the lattice cells of the nonzero generators, in generator
     order, when the caller already has them; otherwise they are computed on
     first use.
     """
 
-    __slots__ = ("base", "min_generators", "_mask", "_conductor", "_delta", "_gap_list",
+    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_gapmask", "_gap_list",
                  "_cells", "_path")
 
     def __init__(self, base: NumericalSemigroup, min_generators, cells=None):
@@ -36,44 +35,24 @@ class GammaSemimodule:
         self.min_generators = tuple(min_generators)
         self._cells = cells
         self._path = None
-        self._mask = None
+        c = base.conductor
+        full = (1 << c) - 1
+        table = base.member_mask(c)
+        mask = 0
+        for g in self.min_generators:
+            mask |= (table << g) & full
+        gapmask = ~mask & full
+        self._mask = mask
+        self._gapmask = gapmask
         self._gap_list = None
-
-    def _scan(self) -> int:
-        # One pass fills the mask, the conductor and delta; most modules in a
-        # sweep read only their generators, and the rest read these often.
-        if self._mask is None:
-            c = self.base.conductor
-            full = (1 << c) - 1
-            table = self.base.member_mask(c)
-            mask = 0
-            for g in self.min_generators:
-                mask |= (table << g) & full
-            self._conductor = (~mask & full).bit_length()
-            self._delta = (mask & ((1 << self._conductor) - 1)).bit_count()
-            self._mask = mask
-        return self._mask
-
-    @property
-    def conductor(self) -> int:
-        """Least x such that every integer from x on is a member."""
-        if self._mask is None:
-            self._scan()
-        return self._conductor
-
-    @property
-    def delta(self) -> int:
-        """Number of members below the conductor."""
-        if self._mask is None:
-            self._scan()
-        return self._delta
+        self.conductor = gapmask.bit_length()
+        self.delta = (mask & ((1 << self.conductor) - 1)).bit_count()
 
     @property
     def gap_list(self):
         """Naturals missing from the module, ascending."""
         if self._gap_list is None:
-            mask = self._scan()
-            self._gap_list = tuple(_bits(~mask & ((1 << self._conductor) - 1)))
+            self._gap_list = tuple(_bits(self._gapmask))
         return self._gap_list
 
     @property
@@ -86,7 +65,7 @@ class GammaSemimodule:
             return False
         if x >= self.base.conductor:
             return True
-        return bool((self._scan() >> x) & 1)
+        return bool((self._mask >> x) & 1)
 
     __contains__ = member
 
@@ -319,7 +298,7 @@ def is_symmetric_sm(delta: GammaSemimodule) -> bool:
     cd = delta.conductor
     if cd == 0:
         return True
-    m = delta._scan() & ((1 << cd) - 1)
+    m = delta._mask & ((1 << cd) - 1)
     rev = int(f"{m:0{cd}b}"[::-1], 2)
     return m == ~rev & ((1 << cd) - 1)
 

@@ -265,59 +265,23 @@ def _reference_scan(S, table, gens):
     return bits, conductor, below.count("1"), gaps, symmetric
 
 
-def _check_against_reference(S, table, generators, first_read=0):
-    """make_semimodule against the references; first_read picks which lazy
-    invariant a fresh module is asked for first."""
+def _check_against_reference(S, table, generators):
+    """make_semimodule against the references; returns the module."""
     keep, cells = _reference_min_generators(S, generators)
     bits, conductor, delta, gaps, symmetric = _reference_scan(S, table, keep)
-    top = S.conductor + max(keep)
-    expected_members = [False] + [ch == "1" for ch in bits] + [True] * (top + 1 - len(bits))
-
     d = make_semimodule(S, generators)
     assert d.min_generators == keep
-    reads = [
-        lambda: list(map(d.member, range(-1, top + 1))) == expected_members,
-        lambda: d.gap_list == gaps,
-        lambda: is_symmetric_sm(d) == symmetric,
-        lambda: (d.conductor, d.delta) == (conductor, delta),
-    ]
-    for i in range(len(reads)):
-        assert reads[(first_read + i) % len(reads)]()
+    assert d._mask == int(bits[::-1] or "0", 2)
+    assert (d.conductor, d.delta, d.gap_list) == (conductor, delta, gaps)
+    assert is_symmetric_sm(d) == symmetric
+    # member() reads the mask checked above; probe it where it switches
+    # between the negative range, the mask and the all-members tail
+    c, top = S.conductor, S.conductor + max(keep)
+    for x in {-1, 0, c - 1, c, top}:
+        assert d.member(x) == (0 <= x and (x >= c or bits[x] == "1"))
     if cells is not None:
         assert d.cells == cells
-
-
-def test_make_semimodule_matches_quadratic_scan_on_lean_sets():
-    for alpha, beta in coprime_pairs(12):
-        S = make_semigroup([alpha, beta])
-        table = _table(S)
-        for i, values in enumerate(enumerate_lean_sets(S.two_gen())):
-            _check_against_reference(S, table, values, i)
-
-
-def test_make_semimodule_matches_quadratic_scan_on_arbitrary_lists():
-    # unsorted, duplicated, non-lean and negative generator lists
-    rng = random.Random(20201103)
-    bases = [S57, S78, S58, S4613, make_semigroup([3, 10]), make_semigroup([6, 9, 20])]
-    for S in bases:
-        top = S.conductor + 2 * S.generators[-1]
-        table = _table(S)
-        for i in range(200):
-            gens = [rng.randint(-20, top) for _ in range(rng.randint(1, 7))]
-            gens += rng.sample(gens, rng.randint(0, len(gens)))
-            rng.shuffle(gens)
-            _check_against_reference(S, table, gens, i)
-    for i, gens in enumerate(([0, 1], [0, 2, 7], [0, 11], [3, 5], [16, 0, 1, 1], [-4, -2, 9])):
-        _check_against_reference(S4613, _table(S4613), gens, i)
-
-
-def test_make_semimodule_over_the_naturals():
-    # <1> has conductor 0: every generator other than the least is redundant
-    S1 = make_semigroup([1])
-    for i, gens in enumerate(([0], [0, 1], [5, 3, 9], [-2, 0, 7, -2])):
-        _check_against_reference(S1, 0, gens, i)
-        d = make_semimodule(S1, gens)
-        assert (d.min_generators, d.conductor, d.delta, d.gap_list) == ((0,), 0, 0, ())
+    return d
 
 
 # the predicates as defined through the normalized module, built in full
@@ -329,21 +293,9 @@ def _selfdual_by_module(d):
     return make_semimodule(d.base, _dual_generators_scan(d)).min_generators == d.min_generators
 
 
-def _modules_4613():
-    gaps = S4613.gaps
-    for k in range(len(gaps) + 1):
-        for extra in combinations(gaps, k):
-            yield make_semimodule(S4613, [0, *extra])
-
-
-def test_predicates_match_normalized_module_definitions():
-    modules = [
-        make_semimodule(S, values)
-        for alpha, beta in coprime_pairs(12)
-        for S in [make_semigroup([alpha, beta])]
-        for values in enumerate_lean_sets(S.two_gen())
-    ]
-    modules += list(_modules_4613())
+def _check_predicates(modules):
+    """is_fixed_point and is_selfdual against their module-building
+    definitions; returns how many modules are fixed points and selfdual."""
     fixed = selfdual = 0
     for d in modules:
         got = is_selfdual(d)
@@ -353,5 +305,56 @@ def test_predicates_match_normalized_module_definitions():
             got = is_fixed_point(d)
             assert got == _fixed_point_by_module(d), d
             fixed += got
+    return fixed, selfdual
+
+
+def test_make_semimodule_and_predicates_match_references_on_lean_sets():
+    total = fixed = selfdual = 0
+    for alpha, beta in coprime_pairs(12):
+        S = make_semigroup([alpha, beta])
+        table = _table(S)
+        modules = [_check_against_reference(S, table, values)
+                   for values in enumerate_lean_sets(S.two_gen())]
+        f, s = _check_predicates(modules)
+        total, fixed, selfdual = total + len(modules), fixed + f, selfdual + s
+    assert total == 103102
     # both predicates take both values on this range
+    assert 0 < fixed < total and 0 < selfdual < total
+
+
+def test_make_semimodule_matches_quadratic_scan_on_arbitrary_lists():
+    # unsorted, duplicated, non-lean and negative generator lists
+    rng = random.Random(20201103)
+    bases = [S57, S78, S58, S4613, make_semigroup([3, 10]), make_semigroup([6, 9, 20])]
+    for S in bases:
+        top = S.conductor + 2 * S.generators[-1]
+        table = _table(S)
+        for _ in range(200):
+            gens = [rng.randint(-20, top) for _ in range(rng.randint(1, 7))]
+            gens += rng.sample(gens, rng.randint(0, len(gens)))
+            rng.shuffle(gens)
+            _check_against_reference(S, table, gens)
+    for gens in ([0, 1], [0, 2, 7], [0, 11], [3, 5], [16, 0, 1, 1], [-4, -2, 9]):
+        _check_against_reference(S4613, _table(S4613), gens)
+
+
+def test_make_semimodule_over_the_naturals():
+    # <1> has conductor 0: every generator other than the least is redundant
+    S1 = make_semigroup([1])
+    for gens in ([0], [0, 1], [5, 3, 9], [-2, 0, 7, -2]):
+        _check_against_reference(S1, 0, gens)
+        d = make_semimodule(S1, gens)
+        assert (d.min_generators, d.conductor, d.delta, d.gap_list) == ((0,), 0, 0, ())
+
+
+def _modules_4613():
+    gaps = S4613.gaps
+    for k in range(len(gaps) + 1):
+        for extra in combinations(gaps, k):
+            yield make_semimodule(S4613, [0, *extra])
+
+
+def test_predicates_match_normalized_module_definitions_over_4613():
+    modules = list(_modules_4613())
+    fixed, selfdual = _check_predicates(modules)
     assert 0 < fixed < len(modules) and 0 < selfdual < len(modules)
