@@ -189,8 +189,10 @@ def _load_reconstruct_input(path):
         given = [k for k in (f"{prefix}_cells", f"{prefix}_values") if k in data]
         if len(given) != 1:
             raise InconsistentInput(f"need exactly one of {prefix}_cells or {prefix}_values")
+    # JSON true/false load as bool, a subclass of int, so the integer checks
+    # compare types exactly
     for key in ("alpha", "beta"):
-        if key in data and not isinstance(data[key], int):
+        if key in data and type(data[key]) is not int:
             raise InconsistentInput(f"{key} must be an integer")
     if "sg_side" in data and data["sg_side"] not in ("T_u", "T_r"):
         raise InconsistentInput('sg_side must be "T_u" or "T_r"')
@@ -198,14 +200,14 @@ def _load_reconstruct_input(path):
         if key in data:
             cells = data[key]
             ok = isinstance(cells, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(isinstance(c, int) for c in p)
+                isinstance(p, list) and len(p) == 2 and all(type(c) is int for c in p)
                 for p in cells
             )
             if not ok:
                 raise InconsistentInput(f"{key} must be a list of [a, b] integer pairs")
     for key in ("sg_values", "ssg_values"):
         if key in data:
-            if not isinstance(data[key], list) or not all(isinstance(v, int) for v in data[key]):
+            if not isinstance(data[key], list) or not all(type(v) is int for v in data[key]):
                 raise InconsistentInput(f"{key} must be a list of integers")
     return data
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
-from .symmetry import self_symmetric_gaps, supersymmetric_gaps
+from .symmetry import _symmetric_count
 from .wilf import wilf_gap
 
 
@@ -110,10 +110,8 @@ class CountComparison:
 
 
 def compare_counts(T: TwoGen) -> CountComparison:
-    _, sg = supersymmetric_gaps(T)
-    ssg = self_symmetric_gaps(T)
     fg = fundamental_gaps(T.semigroup())
-    n_sym = len(sg | ssg)
+    n_sym = _symmetric_count(T)
     formula = None
     if T.alpha == 2:
         b = T.beta

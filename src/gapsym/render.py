@@ -81,16 +81,16 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
     if "diagonal" in layers:
         el.append(f'<line x1="0" y1="0" x2="{width}" y2="{height}" stroke="black" stroke-width="2"/>')
     if "values" in layers or "wilf" in layers:
-        for e in T.lattice_gaps():
-            x = (e.a - 1) * CELL
-            y = (T.alpha - e.b) * CELL
+        for a, b, value in T.walk():
+            x = (a - 1) * CELL
+            y = (T.alpha - b) * CELL
             if "values" in layers:
                 el.append(
                     f'<text x="{x + 3}" y="{y + CELL - 4}" font-size="12" '
-                    f'font-family="monospace">{e.value}</text>'
+                    f'font-family="monospace">{value}</text>'
                 )
             if "wilf" in layers:
-                w = _wilf_number(T, e.a, e.b)
+                w = _wilf_number(T, a, b)
                 el.append(
                     f'<text x="{x + CELL - 3}" y="{y + 12}" font-size="10" '
                     f'font-family="monospace" text-anchor="end">{w}</text>'

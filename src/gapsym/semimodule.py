@@ -20,15 +20,15 @@ from .semigroup import LatticeGap, NumericalSemigroup, _bits, _peel
 
 
 class GammaSemimodule:
-    """Normalized semimodule with cached direct-scan invariants.
+    """Normalized semimodule; its conductor and delta are computed once at
+    construction, and `gap_list` is computed on read.
 
     `cells` are the lattice cells of the nonzero generators, in generator
     order, when the caller already has them; otherwise they are computed on
     first use.
     """
 
-    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_gapmask", "_gap_list",
-                 "_cells", "_path")
+    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_cells", "_path")
 
     def __init__(self, base: NumericalSemigroup, min_generators, cells=None):
         self.base = base
@@ -41,19 +41,14 @@ class GammaSemimodule:
         mask = 0
         for g in self.min_generators:
             mask |= (table << g) & full
-        gapmask = ~mask & full
         self._mask = mask
-        self._gapmask = gapmask
-        self._gap_list = None
-        self.conductor = gapmask.bit_length()
+        self.conductor = (~mask & full).bit_length()
         self.delta = (mask & ((1 << self.conductor) - 1)).bit_count()
 
     @property
     def gap_list(self):
         """Naturals missing from the module, ascending."""
-        if self._gap_list is None:
-            self._gap_list = tuple(_bits(self._gapmask))
-        return self._gap_list
+        return tuple(_bits(~self._mask & ((1 << self.conductor) - 1)))
 
     @property
     def ed(self) -> int:
@@ -127,35 +122,26 @@ def is_lean(S: NumericalSemigroup, values) -> bool:
     return all(not S.contains(y - x) for x, y in combinations(vals, 2))
 
 
-def _syzygy_mask(delta: GammaSemimodule, nbits: int) -> int:
+def syzygy_generators(delta: GammaSemimodule):
+    """Minimal generators of the union of pairwise intersections (G+g_i) n (G+g_j).
+
+    The scan covers [0, c(S) + m(S) + max(D)), m(S) the multiplicity, and no
+    minimal generator lies beyond it: for x >= max(D) + c(S) + m(S), x - m(S)
+    - g >= c(S) for every generator g of D, so x - m(S) lies in every
+    intersection and x = (x - m(S)) + m(S) is not minimal.  The width is
+    tight: for <2, 3> and D = {0, 1} the generators are 3 and 4.
+    """
+    if delta.ed < 2:
+        raise PrincipalModule("syzygies need at least two generators")
     S = delta.base
+    nbits = S.conductor + S.multiplicity + max(delta.min_generators)
     table = S.member_mask(nbits)
     full = (1 << nbits) - 1
     shifted = [(table << g) & full for g in delta.min_generators]
-    out = 0
+    mask = 0
     for mi, mj in combinations(shifted, 2):
-        out |= mi & mj
-    return out
-
-
-def _minimal_generators_of_mask(S: NumericalSemigroup, mask: int, nbits: int):
-    return _peel(mask, S.member_mask(nbits), (1 << nbits) - 1)
-
-
-def _scan_bits(S: NumericalSemigroup) -> int:
-    # Everything past c(S) + max generator of the module is redundant; the
-    # extra alpha*beta (or 2 * max gen) headroom covers syzygy generators.
-    extra = S.generators[0] * S.generators[-1] if len(S.generators) == 2 else 2 * S.generators[-1]
-    return S.conductor + S.generators[-1] + extra + 1
-
-
-def syzygy_generators(delta: GammaSemimodule):
-    """Minimal generators of the union of pairwise intersections (G+g_i) n (G+g_j)."""
-    if delta.ed < 2:
-        raise PrincipalModule("syzygies need at least two generators")
-    nbits = _scan_bits(delta.base) + max(delta.min_generators)
-    mask = _syzygy_mask(delta, nbits)
-    return _minimal_generators_of_mask(delta.base, mask, nbits)
+        mask |= mi & mj
+    return _peel(mask, table, full)
 
 
 def syzygy(delta: GammaSemimodule) -> GammaSemimodule:
@@ -176,14 +162,20 @@ def dual_generators(delta: GammaSemimodule):
 
 
 def _dual_generators_scan(delta: GammaSemimodule):
+    """Minimal generators of the dual by a direct scan of [0, c(S) + m(S)).
+
+    Every x >= c(S) has x + D inside S, so for x >= c(S) + m(S) the dual
+    holds x - m(S) and x = (x - m(S)) + m(S) is not minimal.  The width is
+    tight: for <2, 3> and D = {0, 1} the generators are 2 and 3.
+    """
     S = delta.base
-    nbits = 2 * S.conductor + 2
-    table = S.member_mask(nbits + max(delta.min_generators) + 1)
+    nbits = S.conductor + S.multiplicity
+    table = S.member_mask(nbits + max(delta.min_generators))
     full = (1 << nbits) - 1
     mask = full
     for g in delta.min_generators:
         mask &= table >> g
-    return _minimal_generators_of_mask(S, mask, nbits)
+    return _peel(mask, table, full)
 
 
 def dual(delta: GammaSemimodule) -> GammaSemimodule:

@@ -18,8 +18,6 @@ from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import make_semimodule
 from .wilf import _wilf_number
 
-Cells = frozenset
-
 
 def _lg_cells(T: TwoGen) -> frozenset:
     return frozenset((a, b) for a, b, _ in T.walk())
@@ -202,9 +200,13 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     for block in blocks:
         result |= block
         total += len(block)
-    if total != len(result) or total != T.genus or not result <= lg:
+    if total != T.genus:
+        raise InconsistentInput(f"reconstruction yields {total} cells, expected {T.genus}")
+    if total != len(result):
+        raise InconsistentInput(f"reconstructed blocks overlap: {total} cells cover {len(result)}")
+    if not result <= lg:
         raise InconsistentInput(
-            f"reconstruction yields {total} cells, expected {T.genus}"
+            f"reconstruction puts {len(result - lg)} of its cells off the gap lattice"
         )
     return cell_values(T, result)
 
@@ -260,7 +262,8 @@ def _candidate_pairs(top: int, max_beta: int):
 
 
 def _symmetric_count(T: TwoGen) -> int:
-    """|SG| + |SSG| summed over the row lengths, without building a cell."""
+    """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
+    `gap_partition` checks), summed over the row lengths without building a cell."""
     half_b, half_a = T.alpha // 2, T.beta // 2
     rows = [T.row_length(b) for b in range(1, T.alpha)]
     t_u = sum(rows[half_b:])

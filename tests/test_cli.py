@@ -159,6 +159,45 @@ def test_reconstruct_malformed_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+RECONSTRUCT_78 = {
+    "alpha": 7, "beta": 8,
+    "sg_values": [13, 6, 5], "sg_side": "T_r", "ssg_values": [4, 12, 20],
+}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", True, "alpha must be an integer"),
+    ("beta", False, "beta must be an integer"),
+    ("sg_cells", [[5, 1], [True, 1], [5, 2]], "sg_cells must be a list of [a, b] integer pairs"),
+    ("ssg_cells", [[4, 1], [4, 2], [4, False]], "ssg_cells must be a list of [a, b] integer pairs"),
+    ("sg_values", [13, True, 5], "sg_values must be a list of integers"),
+    ("ssg_values", [4, 12, False], "ssg_values must be a list of integers"),
+])
+def test_reconstruct_rejects_booleans_exits_3(tmp_path, capsys, key, value, message):
+    # JSON true/false load as bool, a subclass of int
+    payload = dict(RECONSTRUCT_78)
+    payload.pop(key.replace("_cells", "_values"), None)
+    payload[key] = value
+    assert main(["reconstruct", "--input", _write(tmp_path, "in.json", payload)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    # the blocks total the genus, 21, and do not overlap, but the reflected
+    # complement puts (5, 3), (6, 3) and (7, 3) off the gap lattice of <7, 8>
+    ({"alpha": 7, "beta": 8, "sg_cells": [[1, 5], [1, 6], [2, 5]], "sg_side": "T_u",
+      "ssg_cells": [[4, 1], [4, 2], [4, 3]]},
+     "reconstruction puts 3 of its cells off the gap lattice"),
+    # the blocks total the genus, 3, but the complement {(2, 1)} of <3, 4>
+    # is its own reflection
+    ({"alpha": 3, "beta": 4, "sg_cells": [], "sg_side": "T_u", "ssg_cells": [[1, 1]]},
+     "reconstructed blocks overlap: 3 cells cover 2"),
+])
+def test_reconstruct_names_the_failed_final_check(tmp_path, capsys, payload, message):
+    assert main(["reconstruct", "--input", _write(tmp_path, "in.json", payload)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reconstruct_missing_pair_without_infer_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"sg_values": [13, 6, 5], "ssg_values": [4, 12, 20]})
     assert main(["reconstruct", "--input", path]) == 3

@@ -5,7 +5,12 @@ faster bound for the development loop plus the double-dual and interleaving
 properties at their stated sizes.
 """
 
+import random
+
+import pytest
+
 from gapsym import (
+    PrincipalModule,
     dual_generators,
     delta_formula,
     gap_order_leq,
@@ -13,8 +18,10 @@ from gapsym import (
     make_semigroup,
     make_semimodule,
     sm_conductor_formula,
+    syzygy_generators,
 )
 from gapsym.oracle import brute_dual, brute_syzygy, enumerate_lean_sets
+from gapsym.semimodule import _dual_generators_scan
 from gapsym.survey import coprime_pairs
 
 
@@ -36,10 +43,33 @@ def test_closed_forms_match_oracles_up_to_10():
             couple = lattice_path(d)
             _, syz = brute_syzygy(S, values, bound)
             assert sorted(couple.h_values) == syz
+            assert syzygy_generators(d) == syz
             assert sm_conductor_formula(d) == d.conductor
             assert delta_formula(d) == d.delta
             _, dgens = brute_dual(S, values, bound)
             assert dual_generators(d) == dgens
+            assert _dual_generators_scan(d) == dgens
+
+
+def test_scans_match_oracles_on_arbitrary_lists():
+    # unsorted, duplicated and non-lean lists; the oracles scan to twice the
+    # width the scans use
+    rng = random.Random(20201107)
+    for gens in ([1], [2, 3], [4, 6, 13], [5, 7, 9], [6, 9, 20], [7, 11, 13, 17]):
+        S = make_semigroup(gens)
+        top = S.conductor + 2 * S.generators[-1]
+        for _ in range(300):
+            values = [rng.randint(0, top) for _ in range(rng.randint(1, 6))]
+            values += rng.sample(values, rng.randint(0, len(values)))
+            rng.shuffle(values)
+            d = make_semimodule(S, values)
+            bound = 2 * (S.conductor + S.multiplicity + max(d.min_generators))
+            assert _dual_generators_scan(d) == brute_dual(S, d.min_generators, bound)[1], d
+            if d.ed < 2:
+                with pytest.raises(PrincipalModule):
+                    syzygy_generators(d)
+            else:
+                assert syzygy_generators(d) == brute_syzygy(S, d.min_generators, bound)[1], d
 
 
 def test_syzygy_values_interleave_along_the_path():

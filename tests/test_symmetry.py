@@ -7,6 +7,7 @@ from gapsym import (
     border_transport,
     card_formulas,
     cell_values,
+    compare_counts,
     gap_conductor_partition,
     gap_partition,
     infer_semigroup,
@@ -287,7 +288,10 @@ def test_symmetric_count_matches_cells():
     from gapsym.symmetry import _symmetric_count
 
     for (alpha, beta), values in SYMMETRIC_VALUES.items():
-        assert _symmetric_count(TwoGen(alpha, beta)) == len(values), (alpha, beta)
+        T = TwoGen(alpha, beta)
+        assert _symmetric_count(T) == len(values), (alpha, beta)
+        _, sg = supersymmetric_gaps(T)
+        assert compare_counts(T).sg_ssg == len(sg | self_symmetric_gaps(T)), (alpha, beta)
 
 
 def test_card_formulas():
