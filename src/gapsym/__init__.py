@@ -69,7 +69,6 @@ from .symmetry import (
     CardinalityReport,
     GapClass,
     GapPartition,
-    border,
     border_transport,
     card_formulas,
     cell_values,

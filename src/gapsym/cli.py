@@ -14,7 +14,7 @@ import sys
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
 from .fundamental import compare_counts, divisor_closure, fundamental_gaps
 from .render import DEFAULT_LAYERS, LAYERS, render_svg
-from .semigroup import NumericalSemigroup, TwoGen
+from .semigroup import NumericalSemigroup, TwoGen, _sieve_width
 from .semimodule import (
     is_lean,
     is_fixed_point,
@@ -27,13 +27,12 @@ from .semimodule import (
 )
 from .survey import CHECK_NAMES, run_survey
 from .symmetry import (
+    _smaller_triangle,
     cell_values,
     gap_conductor_partition,
     gap_partition,
     infer_semigroup,
     reconstruct_from_symmetric,
-    self_symmetric_gaps,
-    supersymmetric_gaps,
     triangle_r,
     triangle_u,
     wilf_grid,
@@ -42,8 +41,8 @@ from .symmetry import (
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
 
 # Largest sieve a command may build, in bits.  Construction allocates the
-# Schur width (m-1)(max-1) + max + 2 of the given generators at once; every
-# pair with alpha, beta up to 500 fits.
+# Schur width `_sieve_width` of the given generators at once; every pair
+# with alpha, beta up to 500 fits.
 MAX_SIEVE_BITS = 1 << 18
 
 
@@ -54,11 +53,11 @@ def _check_width(gens):
     constructors, which raise their own errors.
     """
     if gens and min(gens) > 0:
-        m, big = min(gens), max(gens)
-        width = (m - 1) * (big - 1) + big + 2
+        width = _sieve_width(gens)
         if width > MAX_SIEVE_BITS:
             raise InconsistentInput(
-                f"generators {m}..{big} need a {width}-bit sieve; the limit is {MAX_SIEVE_BITS}"
+                f"generators {min(gens)}..{max(gens)} need a {width}-bit sieve; "
+                f"the limit is {MAX_SIEVE_BITS}"
             )
 
 
@@ -96,9 +95,9 @@ def cmd_analyze(args) -> int:
             raise InconsistentInput(f"unknown layers {bad}; choose from {LAYERS}")
         _emit(render_svg(T, layers), args.out)
         return 0
-    side, sg = supersymmetric_gaps(T)
-    ssg = self_symmetric_gaps(T)
     part = gap_partition(T)
+    side, sg = _smaller_triangle(part.t_u, part.t_r)
+    ssg = part.ssg
     fg = fundamental_gaps(S)
     cc = compare_counts(T)
     report = {
@@ -157,7 +156,7 @@ def cmd_semimodule(args) -> int:
         "conductor": d.conductor,
         "delta": d.delta,
         "ed": d.ed,
-        "wilf": d.ed * d.delta - d.conductor,
+        "wilf": d.wilf,
         "fixed_point": None if principal else is_fixed_point(d),
         "selfdual": is_selfdual(d),
         "symmetric": is_symmetric_sm(d),
@@ -215,10 +214,7 @@ def _load_reconstruct_input(path):
 def _cells_of(T, data, prefix):
     if f"{prefix}_cells" in data:
         return frozenset(tuple(p) for p in data[f"{prefix}_cells"])
-    try:
-        return frozenset(T.gap_to_lattice(v).point for v in data[f"{prefix}_values"])
-    except NotAGap as exc:
-        raise InconsistentInput(str(exc))
+    return frozenset(T.gap_to_lattice(v).point for v in data[f"{prefix}_values"])
 
 
 def cmd_reconstruct(args) -> int:

@@ -4,6 +4,7 @@ subset of its gaps."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
@@ -28,7 +29,7 @@ def divisor_closure(values) -> set:
     """All positive divisors of elements of the input set."""
     out = set()
     for x in values:
-        for d in range(1, int(x**0.5) + 1):
+        for d in range(1, isqrt(x) + 1):
             if x % d == 0:
                 out.add(d)
                 out.add(x // d)
@@ -56,11 +57,7 @@ def semigroup_from_fg(fg) -> NumericalSemigroup:
                 break
             if s not in member_set:
                 raise NotASemigroup(f"{x} + {y} = {s} falls into the divisor closure")
-    gens = []
-    for x in members + list(range(top + 1, 2 * top + 3)):
-        if not any(x - g in member_set or x - g > top or x - g == 0 for g in gens if g < x):
-            gens.append(x)
-    S = NumericalSemigroup(gens)
+    S = NumericalSemigroup(members + list(range(top + 1, 2 * top + 3)))
     if set(S.gaps) != closure:
         raise NotASemigroup(f"complement of {sorted(closure)} is not a semigroup")
     return S

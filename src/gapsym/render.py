@@ -17,8 +17,8 @@ from .symmetry import (
     supersymmetric_gaps,
     triangle_r,
     triangle_u,
+    wilf_grid,
 )
-from .wilf import _wilf_number
 
 LAYERS = ("grid", "diagonal", "values", "wilf", "triangles", "rectangle", "sg", "ssg", "fg")
 
@@ -81,7 +81,7 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
     if "diagonal" in layers:
         el.append(f'<line x1="0" y1="0" x2="{width}" y2="{height}" stroke="black" stroke-width="2"/>')
     if "values" in layers or "wilf" in layers:
-        for a, b, value in T.walk():
+        for a, b, value, w in wilf_grid(T):
             x = (a - 1) * CELL
             y = (T.alpha - b) * CELL
             if "values" in layers:
@@ -90,7 +90,6 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
                     f'font-family="monospace">{value}</text>'
                 )
             if "wilf" in layers:
-                w = _wilf_number(T, a, b)
                 el.append(
                     f'<text x="{x + CELL - 3}" y="{y + 12}" font-size="10" '
                     f'font-family="monospace" text-anchor="end">{w}</text>'

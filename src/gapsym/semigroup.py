@@ -33,9 +33,7 @@ class NumericalSemigroup:
         if reduce(gcd, gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is not 1")
 
-        m, big = gens[0], gens[-1]
-        # Schur bound: Frobenius <= (m-1)(big-1) - 1, so conductor <= (m-1)(big-1).
-        nbits = (m - 1) * (big - 1) + big + 2
+        nbits = _sieve_width(gens)
         full = (1 << nbits) - 1
         # Close under each generator by doubling: after the shifts by g, 2g,
         # ..., 2^k g the table holds every multiple of g up to (2^(k+1)-1) g.
@@ -118,6 +116,16 @@ class NumericalSemigroup:
 
     def __repr__(self):
         return f"NumericalSemigroup({list(self.generators)})"
+
+
+def _sieve_width(gens) -> int:
+    """Bits of the membership table for the positive generators gens.
+
+    Schur bound: Frobenius <= (m-1)(big-1) - 1, so conductor <= (m-1)(big-1);
+    the table also covers one largest generator past it.
+    """
+    m, big = min(gens), max(gens)
+    return (m - 1) * (big - 1) + big + 2
 
 
 def _bits(mask: int):

@@ -55,6 +55,11 @@ class GammaSemimodule:
         """Embedding dimension: the number of minimal generators."""
         return len(self.min_generators)
 
+    @property
+    def wilf(self) -> int:
+        """Wilf number ed * delta - conductor."""
+        return self.ed * self.delta - self.conductor
+
     def member(self, x: int) -> bool:
         if x < 0:
             return False

@@ -25,17 +25,6 @@ from .symmetry import (
 )
 from .wilf import zero_wilf_equivalences
 
-CHECK_NAMES = (
-    "partition",
-    "reconstruct",
-    "equifix",
-    "red",
-    "uff",
-    "cardinality",
-    "conductor-sym",
-)
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -135,6 +124,8 @@ _CHECKS = {
     "cardinality": _check_cardinality,
     "conductor-sym": _check_conductor_sym,
 }
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_survey(max_beta: int, checks=("all",)):

@@ -88,15 +88,6 @@ def right_border(T: TwoGen, cells) -> frozenset:
     return frozenset((a, b) for a, b in cells if not T.in_lattice(a + 1, b))
 
 
-def border(T: TwoGen, cells) -> frozenset:
-    """Cells whose right or upper neighbor leaves the gap lattice."""
-    return frozenset(
-        (a, b)
-        for a, b in cells
-        if not T.in_lattice(a + 1, b) or not T.in_lattice(a, b + 1)
-    )
-
-
 def border_transport(T: TwoGen):
     """Both sides of the border identity linking the two triangles.
 
@@ -149,12 +140,8 @@ def gap_partition(T: TwoGen) -> GapPartition:
     ssg = self_symmetric_gaps(T)
     part = GapPartition(tu, reflect_alpha(T, tu), ssg, tr, reflect_beta(T, tr))
     lg = _lg_cells(T)
-    union = set()
-    total = 0
-    for block in part.blocks():
-        union |= block
-        total += len(block)
-    if union != lg or total != len(lg):
+    blocks = part.blocks()
+    if frozenset().union(*blocks) != lg or sum(map(len, blocks)) != len(lg):
         raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
     rect = rectangle_cells(T)
     if part.s_alpha_t_u | part.ssg | part.s_beta_t_r != rect:
@@ -195,11 +182,8 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
         raise InconsistentInput("reflected cells do not tile inside the rectangle")
     complement = rect - covered
     blocks = (sg, reflected, ssg, complement, other(T, complement))
-    result = set()
-    total = 0
-    for block in blocks:
-        result |= block
-        total += len(block)
+    result = frozenset().union(*blocks)
+    total = sum(map(len, blocks))
     if total != T.genus:
         raise InconsistentInput(f"reconstruction yields {total} cells, expected {T.genus}")
     if total != len(result):
@@ -413,7 +397,7 @@ def gap_conductor_partition(S: NumericalSemigroup):
     for g in S.gaps:
         d = make_semimodule(S, [0, g])
         by_conductor.setdefault(d.conductor, []).append(g)
-        wilf[g] = 2 * d.delta - d.conductor
+        wilf[g] = d.wilf
     out = []
     for c in sorted(by_conductor):
         members = sorted(by_conductor[c])

@@ -1,6 +1,6 @@
 """Wilf numbers of semimodules and of single gaps.
 
-The Wilf number of a semimodule is ed * delta - conductor.  For a gap g of a
+The Wilf number of a semimodule is `GammaSemimodule.wilf`.  For a gap g of a
 two-generator semigroup the Wilf number of the module generated by [0, g] has
 a closed form in the lattice coordinates of g, with a branch chosen by which
 of the two syzygy generators is smaller.
@@ -35,9 +35,9 @@ class WilfReport:
 
 
 def wilf_semimodule(delta: GammaSemimodule) -> WilfReport:
-    """ed * delta - conductor, from the direct-scan invariants."""
+    """`GammaSemimodule.wilf` with the invariants it is read from."""
     return WilfReport(
-        w=delta.ed * delta.delta - delta.conductor,
+        w=delta.wilf,
         ed=delta.ed,
         delta=delta.delta,
         conductor=delta.conductor,
@@ -45,11 +45,10 @@ def wilf_semimodule(delta: GammaSemimodule) -> WilfReport:
 
 
 def wilf_gap(S: NumericalSemigroup, g: int) -> int:
-    """Wilf number 2*delta - conductor of the module [0, g]; any base."""
+    """Wilf number of the module [0, g], whose ed is 2; any base."""
     if S.contains(g) or g < 0:
         raise NotAGap(f"{g} is not a gap of {S!r}")
-    d = make_semimodule(S, [0, g])
-    return 2 * d.delta - d.conductor
+    return make_semimodule(S, [0, g]).wilf
 
 
 def _wilf_number(T: TwoGen, a: int, b: int) -> int:
@@ -112,7 +111,7 @@ def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
     a, b = T.gap_to_lattice(g).point
     d = make_semimodule(T.semigroup(), [0, g])
     return ZeroWilfChecks(
-        wilf_zero=(2 * d.delta - d.conductor == 0),
+        wilf_zero=(d.wilf == 0),
         on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
         fixed_point=is_fixed_point(d),
         selfdual=is_selfdual(d),
@@ -129,8 +128,7 @@ def zero_wilf_survey_general(S: NumericalSemigroup):
     rows = []
     for g in S.gaps:
         d = make_semimodule(S, [0, g])
-        w = 2 * d.delta - d.conductor
-        if w != 0:
+        if d.wilf != 0:
             continue
-        rows.append((g, w, is_fixed_point(d), is_selfdual(d), is_symmetric_sm(d)))
+        rows.append((g, 0, is_fixed_point(d), is_selfdual(d), is_symmetric_sm(d)))
     return rows

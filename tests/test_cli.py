@@ -198,6 +198,14 @@ def test_reconstruct_names_the_failed_final_check(tmp_path, capsys, payload, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, value", [("sg_values", [13, 6, 7]), ("ssg_values", [4, 12, 42])])
+def test_reconstruct_non_gap_value_exits_3(tmp_path, capsys, key, value):
+    # 7 is a generator of <7, 8> and 42 its conductor: neither is a gap
+    payload = dict(RECONSTRUCT_78, **{key: value})
+    assert main(["reconstruct", "--input", _write(tmp_path, "in.json", payload)]) == 3
+    assert capsys.readouterr().err == f"error: {value[-1]} is not a gap of <7, 8>\n"
+
+
 def test_reconstruct_missing_pair_without_infer_exits_3(tmp_path, capsys):
     path = _write(tmp_path, "in.json", {"sg_values": [13, 6, 5], "ssg_values": [4, 12, 20]})
     assert main(["reconstruct", "--input", path]) == 3

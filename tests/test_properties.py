@@ -25,6 +25,7 @@ def test_formula_matches_definition_up_to_30():
         S = T.semigroup()
         for e in T.lattice_gaps():
             assert wilf_gap_formula(T, e.a, e.b).w == wilf_gap(S, e.value)
+            assert wilf_gap(S, e.value) == make_semimodule(S, [0, e.value]).wilf
 
 
 def test_reflection_antisymmetry():

@@ -317,6 +317,8 @@ def test_make_semimodule_and_predicates_match_references_on_lean_sets():
                    for values in enumerate_lean_sets(S.two_gen())]
         f, s = _check_predicates(modules)
         total, fixed, selfdual = total + len(modules), fixed + f, selfdual + s
+        for d in modules:
+            assert d.wilf == d.ed * d.delta - d.conductor
     assert total == 103102
     # both predicates take both values on this range
     assert 0 < fixed < total and 0 < selfdual < total

@@ -31,21 +31,24 @@ def _module_level_names(tree):
                         yield sub.id
 
 
+def _reads(tree):
+    """Names a module loads, reads as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
 def test_no_unreferenced_module_names_in_src():
     # a module-level function, class or assigned name that nothing in the
     # package loads, imports or reads as an attribute has no caller
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     assert trees, SRC
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+    used = {name for tree in trees.values() for name in _reads(tree)}
     unused = [
         f"{name}: {defined}"
         for name, tree in trees.items()
@@ -53,3 +56,32 @@ def test_no_unreferenced_module_names_in_src():
         if defined not in used and not (defined.startswith("__") and defined.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_exported_name_is_read():
+    # a name exported by the package that nothing in the package, the tests
+    # or the demos reads has no caller
+    init = SRC / "__init__.py"
+    exported = [
+        alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exported, init
+    root = SRC.parents[1]
+    files = [p for p in SRC.glob("*.py") if p != init]
+    files += sorted((root / "tests").glob("*.py")) + sorted((root / "demos").glob("*.py"))
+    used = {name for path in files for name in _reads(ast.parse(path.read_text()))}
+    assert [name for name in exported if name not in used] == []
+
+
+def test_no_float_constants_in_src():
+    # the package computes with integers only
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+    assert found == []
