@@ -92,7 +92,6 @@ from .wilf import (
     ZeroWilfChecks,
     wilf_gap,
     wilf_gap_formula,
-    wilf_semimodule,
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )

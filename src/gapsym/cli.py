@@ -89,10 +89,7 @@ def cmd_analyze(args) -> int:
     T = TwoGen(args.alpha, args.beta)
     S = T.semigroup()
     if args.format == "svg":
-        layers = args.layers.split(",") if args.layers else list(DEFAULT_LAYERS)
-        bad = [l for l in layers if l not in LAYERS]
-        if bad:
-            raise InconsistentInput(f"unknown layers {bad}; choose from {LAYERS}")
+        layers = args.layers.split(",") if args.layers else DEFAULT_LAYERS
         _emit(render_svg(T, layers), args.out)
         return 0
     part = gap_partition(T)
@@ -261,11 +258,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    checks = args.checks.split(",")
-    bad = [c for c in checks if c != "all" and c not in CHECK_NAMES]
-    if bad:
-        raise InconsistentInput(f"unknown checks {bad}; choose from {CHECK_NAMES + ('all',)}")
-    results = run_survey(args.max_beta, checks)
+    results = run_survey(args.max_beta, args.checks.split(","))
     lines = []
     violations = 0
     for res in results:

@@ -17,12 +17,11 @@ class FundamentalGapSet:
     """Gaps g with both 2g and 3g in the semigroup."""
 
     gaps: tuple
-    source: NumericalSemigroup
 
 
 def fundamental_gaps(S: NumericalSemigroup) -> FundamentalGapSet:
     fg = tuple(g for g in S.gaps if S.contains(2 * g) and S.contains(3 * g))
-    return FundamentalGapSet(gaps=fg, source=S)
+    return FundamentalGapSet(gaps=fg)
 
 
 def divisor_closure(values) -> set:

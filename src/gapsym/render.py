@@ -10,11 +10,12 @@ coordinates, fixed ordering, no timestamps.
 
 from __future__ import annotations
 
+from .errors import InconsistentInput
 from .fundamental import fundamental_gaps
 from .semigroup import TwoGen
 from .symmetry import (
+    _smaller_triangle,
     self_symmetric_gaps,
-    supersymmetric_gaps,
     triangle_r,
     triangle_u,
     wilf_grid,
@@ -47,6 +48,11 @@ def _cell_rects(T: TwoGen, cells, color, opacity):
 
 
 def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
+    """SVG of the gap lattice with the named layers; unknown names raise
+    InconsistentInput."""
+    bad = [name for name in layers if name not in LAYERS]
+    if bad:
+        raise InconsistentInput(f"unknown layers {bad}; choose from {LAYERS}")
     layers = set(layers)
     width = T.beta * CELL
     height = T.alpha * CELL
@@ -55,14 +61,16 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
+    if "triangles" in layers or "sg" in layers:
+        tu, tr = triangle_u(T), triangle_r(T)
     if "triangles" in layers:
-        el += _cell_rects(T, triangle_u(T), _FILL["triangles"], "60%")
-        el += _cell_rects(T, triangle_r(T), _FILL["triangles"], "60%")
+        el += _cell_rects(T, tu, _FILL["triangles"], "60%")
+        el += _cell_rects(T, tr, _FILL["triangles"], "60%")
     if "fg" in layers:
         cells = {T.cell_of(g) for g in fundamental_gaps(T.semigroup()).gaps}
         el += _cell_rects(T, cells, _FILL["fg"], "55%")
     if "sg" in layers:
-        _, sg = supersymmetric_gaps(T)
+        _, sg = _smaller_triangle(tu, tr)
         el += _cell_rects(T, sg, _FILL["sg"], "70%")
     if "ssg" in layers:
         el += _cell_rects(T, self_symmetric_gaps(T), _FILL["ssg"], "70%")

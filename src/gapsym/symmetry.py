@@ -324,8 +324,6 @@ class CardinalityReport:
     t_r_formula: int
     t_r_direct: int
     sg_side: str
-    sg_formula: int
-    sg_direct: int
     agree: bool
     warnings: tuple
 
@@ -349,7 +347,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     t_r_formula = sum(max(0, j * b // a - b // 2) for j in range(h, a))
     tu, tr = triangle_u(T), triangle_r(T)
     ssg = self_symmetric_gaps(T)
-    side, sg = _smaller_triangle(tu, tr)
+    side, _ = _smaller_triangle(tu, tr)
     warnings = []
     if t_u_formula != len(tu):
         warnings.append(
@@ -367,8 +365,6 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
         t_r_formula=t_r_formula,
         t_r_direct=len(tr),
         sg_side=side,
-        sg_formula=t_u_formula if side == "T_u" else t_r_formula,
-        sg_direct=len(sg),
         agree=not warnings,
         warnings=tuple(warnings),
     )

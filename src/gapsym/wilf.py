@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import NotAGap
 from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import (
-    GammaSemimodule,
     is_fixed_point,
     is_selfdual,
     is_symmetric_sm,
@@ -29,19 +28,9 @@ class WilfReport:
     ed: int
     delta: int
     conductor: int
-    a: int | None = None
-    b: int | None = None
-    min_branch: str | None = None
-
-
-def wilf_semimodule(delta: GammaSemimodule) -> WilfReport:
-    """`GammaSemimodule.wilf` with the invariants it is read from."""
-    return WilfReport(
-        w=delta.wilf,
-        ed=delta.ed,
-        delta=delta.delta,
-        conductor=delta.conductor,
-    )
+    a: int
+    b: int
+    min_branch: str
 
 
 def wilf_gap(S: NumericalSemigroup, g: int) -> int:

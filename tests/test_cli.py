@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from gapsym import InconsistentInput, TwoGen, symmetry, wilf
 from gapsym.cli import main
+from gapsym.render import LAYERS, render_svg
+from gapsym.survey import CHECK_NAMES, run_survey
 
 
 def run_json(capsys, argv):
@@ -233,6 +236,54 @@ def test_survey_uff_flags_alpha_2(capsys):
 def test_survey_unknown_check(capsys):
     assert main(["survey", "--max-beta", "8", "--checks", "nonsense"]) == 3
     capsys.readouterr()
+
+
+def test_library_rejects_unknown_check_and_layer_names(capsys):
+    # the CLI prints the library's message unchanged
+    cases = [
+        (lambda: run_survey(6, ["nope"]), ["survey", "--max-beta", "6", "--checks", "nope"],
+         f"unknown checks ['nope']; choose from {CHECK_NAMES + ('all',)}"),
+        (lambda: render_svg(TwoGen(3, 5), ["nope"]),
+         ["analyze", "--alpha", "3", "--beta", "5", "--format", "svg", "--layers", "nope"],
+         f"unknown layers ['nope']; choose from {LAYERS}"),
+    ]
+    for call, argv, message in cases:
+        with pytest.raises(InconsistentInput) as exc:
+            call()
+        assert str(exc.value) == message
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _drop_first_cell(triangle):
+    return lambda T: triangle(T) - set(sorted(triangle(T))[:1])
+
+
+@pytest.mark.parametrize(
+    "check, owner, name, fake",
+    [
+        ("partition", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
+        ("reconstruct", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
+        ("equifix", wilf, "is_fixed_point", lambda d: True),
+    ],
+)
+def test_survey_violation_exits_1(monkeypatch, capsys, check, owner, name, fake):
+    # partition and reconstruct fail by raising inside the library; the
+    # error is that pair's violation and the sweep still covers every pair
+    monkeypatch.setattr(owner, name, fake)
+    assert main(["survey", "--max-beta", "8", "--checks", check]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"{check}: pairs=14 ")
+    assert "\n  VIOLATION (" in out
+
+
+def test_survey_lets_other_errors_propagate(monkeypatch):
+    def broken(T):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(symmetry, "triangle_u", broken)
+    with pytest.raises(RuntimeError):
+        run_survey(8, ["partition"])
 
 
 def test_classes(capsys):

@@ -85,3 +85,43 @@ def test_no_float_constants_in_src():
         if isinstance(node, ast.Constant) and isinstance(node.value, float)
     ]
     assert found == []
+
+
+def _class_members(tree):
+    """(class, member) for each method, property, annotated field and
+    `__slots__` entry declared in a class body."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield cls.name, node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                for elt in ast.walk(node.value):
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        yield cls.name, elt.value
+
+
+def test_every_class_member_is_read():
+    # a method, property, field or slot that nothing in the package, the
+    # tests or the demos reads as an attribute has no reader
+    root = SRC.parents[1]
+    files = sorted(SRC.glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    files += sorted((root / "demos").glob("*.py"))
+    read = {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}: {cls}.{member}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls, member in _class_members(ast.parse(path.read_text()))
+        if member not in read and not (member.startswith("__") and member.endswith("__"))
+    ]
+    assert unread == []

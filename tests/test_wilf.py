@@ -7,21 +7,20 @@ from gapsym import (
     make_semimodule,
     wilf_gap,
     wilf_gap_formula,
-    wilf_semimodule,
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )
 
 
 def test_wilf_semimodule():
-    r = wilf_semimodule(make_semimodule(make_semigroup([5, 8]), [0, 4, 6, 7]))
-    assert (r.ed, r.delta, r.conductor, r.w) == (4, 1, 4, 0)
+    d = make_semimodule(make_semigroup([5, 8]), [0, 4, 6, 7])
+    assert (d.ed, d.delta, d.conductor, d.wilf) == (4, 1, 4, 0)
 
-    r = wilf_semimodule(make_semimodule(make_semigroup([4, 6, 13]), [0, 15]))
-    assert r.w == -2
+    d = make_semimodule(make_semigroup([4, 6, 13]), [0, 15])
+    assert d.wilf == -2
 
-    r = wilf_semimodule(make_semimodule(make_semigroup([7, 8]), [0]))
-    assert (r.ed, r.delta, r.conductor, r.w) == (1, 21, 42, -21)
+    d = make_semimodule(make_semigroup([7, 8]), [0])
+    assert (d.ed, d.delta, d.conductor, d.wilf) == (1, 21, 42, -21)
 
 
 def test_wilf_gap():
