@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 survey violation, 2 usage error, 3 invalid input
-data, 4 ambiguous inference.  JSON is the machine format (integers only,
-stable key order); SVG is the figure format.
+Exit codes: 0 success, 1 survey violation, 2 usage error (an unwritable
+--out included), 3 invalid input data, 4 ambiguous inference.  JSON is the
+machine format (integers only, stable key order); SVG is the figure format.
+Each `cmd_*` returns its output text and exit code; `main` alone writes it.
 """
 
 from __future__ import annotations
@@ -68,35 +69,32 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _output(args, report, lines=None) -> str:
+    """A command's output in its --format: the report as JSON, or as text
+    from `lines()`, or one `key: value` line per report key when no lines
+    are given.  The text lines are built only for text output."""
+    if args.format == "json":
+        return json.dumps(report, indent=2) + "\n"
+    text = lines() if lines else (f"{k}: {v}" for k, v in report.items())
+    return "\n".join(text) + "\n"
 
 
 def _sorted_cells(cells):
     return [[a, b] for a, b in sorted(cells, key=lambda p: (-p[1], p[0]))]
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     _check_width([args.alpha, args.beta])
     T = TwoGen(args.alpha, args.beta)
     S = T.semigroup()
     if args.format == "svg":
         layers = args.layers.split(",") if args.layers else DEFAULT_LAYERS
-        _emit(render_svg(T, layers), args.out)
-        return 0
+        return render_svg(T, layers), 0
     part = gap_partition(T)
     side, sg = _smaller_triangle(part.t_u, part.t_r)
     ssg = part.ssg
     fg = fundamental_gaps(S)
-    cc = compare_counts(T)
+    n_sym, n_fg = len(sg) + len(ssg), len(fg.gaps)
     report = {
         "alpha": T.alpha,
         "beta": T.beta,
@@ -112,25 +110,20 @@ def cmd_analyze(args) -> int:
             zip(("t_u", "s_alpha_t_u", "ssg", "t_r", "s_beta_t_r"), part.block_sizes())
         ),
         "fg": list(fg.gaps),
-        "counts": {"sg_ssg": cc.sg_ssg, "fg": cc.fg},
+        "counts": {"sg_ssg": n_sym, "fg": n_fg},
     }
-    if args.format == "text":
-        lines = [
-            f"<{T.alpha},{T.beta}>: conductor {S.conductor}, {S.genus} gaps",
-            f"gaps: {list(S.gaps)}",
-            f"symmetric side {side}: {report['sg']['values']}",
-            f"self-symmetric: {report['ssg']['values']}",
-            f"partition blocks: {part.block_sizes()}",
-            f"fundamental gaps ({cc.fg}): {list(fg.gaps)}",
-            f"|SG u SSG| = {cc.sg_ssg} {'<=' if cc.inequality_holds else '>'} |FG| = {cc.fg}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json(report), args.out)
-    return 0
+    return _output(args, report, lambda: [
+        f"<{T.alpha},{T.beta}>: conductor {S.conductor}, {S.genus} gaps",
+        f"gaps: {list(S.gaps)}",
+        f"symmetric side {side}: {report['sg']['values']}",
+        f"self-symmetric: {report['ssg']['values']}",
+        f"partition blocks: {part.block_sizes()}",
+        f"fundamental gaps ({n_fg}): {list(fg.gaps)}",
+        f"|SG u SSG| = {n_sym} {'<=' if n_sym <= n_fg else '>'} |FG| = {n_fg}",
+    ]), 0
 
 
-def cmd_semimodule(args) -> int:
+def cmd_semimodule(args):
     _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     if not args.module or any(v < 0 for v in args.module):
@@ -159,12 +152,7 @@ def cmd_semimodule(args) -> int:
         "symmetric": is_symmetric_sm(d),
         "orbit_cycle_length": orbit,
     }
-    if args.format == "text":
-        lines = [f"{k}: {v}" for k, v in report.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json(report), args.out)
-    return 0
+    return _output(args, report), 0
 
 
 _RECONSTRUCT_KEYS = {"alpha", "beta", "sg_side", "sg_cells", "sg_values", "ssg_cells", "ssg_values"}
@@ -185,6 +173,8 @@ def _load_reconstruct_input(path):
         given = [k for k in (f"{prefix}_cells", f"{prefix}_values") if k in data]
         if len(given) != 1:
             raise InconsistentInput(f"need exactly one of {prefix}_cells or {prefix}_values")
+    if ("alpha" in data) != ("beta" in data):
+        raise InconsistentInput("alpha and beta must be given together")
     # JSON true/false load as bool, a subclass of int, so the integer checks
     # compare types exactly
     for key in ("alpha", "beta"):
@@ -214,10 +204,10 @@ def _cells_of(T, data, prefix):
     return frozenset(T.gap_to_lattice(v).point for v in data[f"{prefix}_values"])
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args):
     data = _load_reconstruct_input(args.input)
     inferred = False
-    if "alpha" in data and "beta" in data:
+    if "alpha" in data:
         alpha, beta = data["alpha"], data["beta"]
     elif args.infer:
         values = set(data.get("sg_values", [])) | set(data.get("ssg_values", []))
@@ -228,7 +218,7 @@ def cmd_reconstruct(args) -> int:
             raise InconsistentInput(
                 f"{max(values)} is no gap of any pair within the sieve limit of {MAX_SIEVE_BITS} bits"
             )
-        max_beta = args.max_beta or 4 * max(values)
+        max_beta = 4 * max(values) if args.max_beta is None else args.max_beta
         found = infer_semigroup(values, max_beta)
         if found is None:
             raise InconsistentInput(f"no pair up to beta={max_beta} matches {sorted(values)}")
@@ -250,33 +240,31 @@ def cmd_reconstruct(args) -> int:
             raise InconsistentInput("cells match neither triangle; supply sg_side")
     gaps = reconstruct_from_symmetric(alpha, beta, sg, side, ssg)
     report = {"alpha": alpha, "beta": beta, "inferred": inferred, "gaps": gaps}
-    if args.format == "text":
-        _emit(f"<{alpha},{beta}>{' (inferred)' if inferred else ''}: {gaps}\n", args.out)
-    else:
-        _emit(_json(report), args.out)
-    return 0
+    return _output(
+        args, report, lambda: [f"<{alpha},{beta}>{' (inferred)' if inferred else ''}: {gaps}"]
+    ), 0
 
 
-def cmd_survey(args) -> int:
+def cmd_survey(args):
     results = run_survey(args.max_beta, args.checks.split(","))
-    lines = []
-    violations = 0
-    for res in results:
-        lines.append(
-            f"{res.name}: pairs={res.pairs} violations={len(res.violations)} warnings={len(res.warnings)}"
-        )
-        for v in res.violations[:20]:
-            lines.append(f"  VIOLATION {v}")
-        for w in res.warnings[:10]:
-            lines.append(f"  warning: {w}")
-        if len(res.warnings) > 10:
-            lines.append(f"  ... and {len(res.warnings) - 10} more warnings")
-        violations += len(res.violations)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 1 if violations else 0
+
+    def lines():
+        for res in results:
+            yield (
+                f"{res.name}: pairs={res.pairs} violations={len(res.violations)} "
+                f"warnings={len(res.warnings)}"
+            )
+            for v in res.violations[:20]:
+                yield f"  VIOLATION {v}"
+            for w in res.warnings[:10]:
+                yield f"  warning: {w}"
+            if len(res.warnings) > 10:
+                yield f"  ... and {len(res.warnings) - 10} more warnings"
+
+    return _output(args, None, lines), 1 if any(res.violations for res in results) else 0
 
 
-def cmd_classes(args) -> int:
+def cmd_classes(args):
     _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     classes = gap_conductor_partition(S)
@@ -292,20 +280,19 @@ def cmd_classes(args) -> int:
             for c in classes
         ],
     }
-    if args.format == "text":
-        lines = [f"<{','.join(map(str, S.generators))}>: {len(classes)} classes"]
+
+    def lines():
+        yield f"<{','.join(map(str, S.generators))}>: {len(classes)} classes"
         for c in classes:
-            lines.append(
+            yield (
                 f"conductor {c.conductor}: members {list(c.members)} pairs {c.pairs}"
                 + (f" self-symmetric {c.self_symmetric}" if c.self_symmetric is not None else "")
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json(report), args.out)
-    return 0
+
+    return _output(args, report, lines), 0
 
 
-def cmd_fundamental(args) -> int:
+def cmd_fundamental(args):
     _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     fg = fundamental_gaps(S)
@@ -320,12 +307,7 @@ def cmd_fundamental(args) -> int:
         cc = compare_counts(S.two_gen())
         report["counts"]["sg_ssg"] = cc.sg_ssg
         report["counts"]["inequality_holds"] = cc.inequality_holds
-    if args.format == "text":
-        lines = [f"{k}: {v}" for k, v in report.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json(report), args.out)
-    return 0
+    return _output(args, report), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,9 +368,11 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command and write its output to --out or stdout; no other
+    function writes."""
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except Ambiguous as exc:
         print(f"error: {exc} (matches: {exc.matches})", file=sys.stderr)
         return AMBIGUOUS_ERROR
@@ -398,6 +382,16 @@ def main(argv=None) -> int:
     except GapsymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

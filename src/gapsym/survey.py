@@ -1,13 +1,16 @@
 """Exhaustive verification sweeps over all coprime generator pairs.
 
-Each check replays one of the structural facts on every pair up to a bound
-and records violations; the known printed-sum undercount for the upper
-triangle at odd alpha is downgraded to a warning.
+Each check replays one structural fact on one pair and yields unlabeled
+`(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
+labels each with its pair, files it, and builds at most one partition per
+pair, when a check first calls `blocks()`.  The known printed-sum
+undercount for the upper triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 from .errors import GapsymError, InconsistentInput
@@ -15,14 +18,11 @@ from .fundamental import compare_counts, red_equivalence
 from .semigroup import NumericalSemigroup
 from .semimodule import make_semimodule
 from .symmetry import (
+    _smaller_triangle,
     card_formulas,
     gap_partition,
     reconstruct_from_symmetric,
     rectangle_cells,
-    self_symmetric_gaps,
-    supersymmetric_gaps,
-    triangle_r,
-    triangle_u,
 )
 from .wilf import zero_wilf_equivalences
 
@@ -41,68 +41,67 @@ def coprime_pairs(max_beta: int):
                 yield alpha, beta
 
 
-def _check_partition(T, res):
-    part = gap_partition(T)
-    if sum(part.block_sizes()) != T.genus:
-        res.violations.append(f"({T.alpha},{T.beta}) block sizes miss the genus")
+def _check_partition(T, blocks):
+    if sum(blocks().block_sizes()) != T.genus:
+        yield "violations", "block sizes miss the genus"
     S = T.semigroup()
     rect = rectangle_cells(T)
     for a, b, g in T.walk():
         if S.contains(2 * g) != ((a, b) in rect):
-            res.violations.append(f"({T.alpha},{T.beta}) gap {g} rectangle mismatch")
+            yield "violations", f"gap {g} rectangle mismatch"
 
 
-def _check_reconstruct(T, res):
-    side, sg = supersymmetric_gaps(T)
-    got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, self_symmetric_gaps(T))
+def _check_reconstruct(T, blocks):
+    part = blocks()
+    side, sg = _smaller_triangle(part.t_u, part.t_r)
+    got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, part.ssg)
     if got != list(T.semigroup().gaps):
-        res.violations.append(f"({T.alpha},{T.beta}) reconstruction differs")
+        yield "violations", "reconstruction differs"
 
 
-def _check_per_gap(T, res, predicates):
+def _check_per_gap(T, predicates):
     for _, _, g in T.walk():
         checks = predicates(T, g)
         if not checks.all_agree():
-            res.violations.append(f"({T.alpha},{T.beta}) gap {g}: {checks}")
+            yield "violations", f"gap {g}: {checks}"
 
 
-def _check_uff(T, res):
+def _check_uff(T, blocks):
     if T.alpha == 2 and T.beta > 3:
-        res.warnings.append(f"({T.alpha},{T.beta}) excluded (alpha=2)")
+        yield "warnings", "excluded (alpha=2)"
         return
     cc = compare_counts(T)
     if not cc.inequality_holds:
-        res.violations.append(f"({T.alpha},{T.beta}) |SG u SSG|={cc.sg_ssg} > |FG|={cc.fg}")
+        yield "violations", f"|SG u SSG|={cc.sg_ssg} > |FG|={cc.fg}"
 
 
-def _check_cardinality(T, res):
+def _check_cardinality(T, blocks):
     rep = card_formulas(T)
     if rep.ssg_formula != rep.ssg_direct:
-        res.violations.append(
-            f"({T.alpha},{T.beta}) SSG formula {rep.ssg_formula} != {rep.ssg_direct}"
-        )
+        yield "violations", f"SSG formula {rep.ssg_formula} != {rep.ssg_direct}"
     for w in rep.warnings:
         if not w.startswith("zero-Wilf"):
-            res.warnings.append(f"({T.alpha},{T.beta}) {w}")
+            yield "warnings", w
 
 
-def _check_conductor_sym(T, res):
+def _check_conductor_sym(T, blocks):
     S = T.semigroup()
     c = S.conductor
+    part = blocks()
 
     def cond(g):
         return make_semimodule(S, [0, g]).conductor
 
-    for a, b in triangle_u(T):
+    for a, b in part.t_u:
         g = T.value(a, b)
         expected = c - a * T.alpha
         if cond(g) != expected or cond(T.value(a, T.alpha - b)) != expected:
-            res.violations.append(f"({T.alpha},{T.beta}) column {a} conductor mismatch")
-    for a, b in triangle_r(T):
+            yield "violations", f"column {a} conductor mismatch"
+    for a, b in part.t_r:
         g = T.value(a, b)
         expected = c - b * T.beta
         if cond(g) != expected or cond(T.value(T.beta - a, b)) != expected:
-            res.violations.append(f"({T.alpha},{T.beta}) row {b} conductor mismatch")
+            yield "violations", f"row {b} conductor mismatch"
 
 
 _CHECKS = {
@@ -110,8 +109,8 @@ _CHECKS = {
     "reconstruct": _check_reconstruct,
     # the predicates are looked up when a check runs, so a wrapper installed
     # over the module-level name later (perfbench's tracer) is the one called
-    "equifix": lambda T, res: _check_per_gap(T, res, zero_wilf_equivalences),
-    "red": lambda T, res: _check_per_gap(T, res, red_equivalence),
+    "equifix": lambda T, blocks: _check_per_gap(T, zero_wilf_equivalences),
+    "red": lambda T, blocks: _check_per_gap(T, red_equivalence),
     "uff": _check_uff,
     "cardinality": _check_cardinality,
     "conductor-sym": _check_conductor_sym,
@@ -123,9 +122,9 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_survey(max_beta: int, checks=("all",)):
     """Run the named checks over every coprime pair; returns CheckResults.
 
-    A library error raised by a check on a pair is recorded as that pair's
-    violation and the sweep goes on; unknown check names raise
-    InconsistentInput.
+    Each finding is filed as `(alpha,beta) <message>`.  A library error
+    raised by a check on a pair is recorded as that pair's violation and the
+    sweep goes on; unknown check names raise InconsistentInput.
     """
     bad = [c for c in checks if c != "all" and c not in CHECK_NAMES]
     if bad:
@@ -133,13 +132,15 @@ def run_survey(max_beta: int, checks=("all",)):
     names = list(CHECK_NAMES) if "all" in checks else [c for c in CHECK_NAMES if c in checks]
     results = {name: CheckResult(name) for name in names}
     for alpha, beta in coprime_pairs(max_beta):
-        S = NumericalSemigroup([alpha, beta])
-        T = S.two_gen()
+        T = NumericalSemigroup([alpha, beta]).two_gen()
+        blocks = cache(lambda: gap_partition(T))
+        label = f"({alpha},{beta}) "
         for name in names:
             res = results[name]
             res.pairs += 1
             try:
-                _CHECKS[name](T, res)
+                for kind, message in _CHECKS[name](T, blocks):
+                    getattr(res, kind).append(label + message)
             except GapsymError as exc:
-                res.violations.append(f"({alpha},{beta}) {exc}")
+                res.violations.append(label + str(exc))
     return [results[name] for name in names]

@@ -46,11 +46,15 @@ def triangle_r(T: TwoGen) -> frozenset:
     return _column_cells(T, range(T.beta // 2 + 1, T.row_length(1) + 1))
 
 
+def _smaller_side(t_u: int, t_r: int) -> str:
+    """The side tag of the smaller triangle, given both sizes; ties go to T_u."""
+    return "T_u" if t_u <= t_r else "T_r"
+
+
 def _smaller_triangle(tu: frozenset, tr: frozenset):
-    """(side, cells) of the smaller of two built triangles; ties go to T_u."""
-    if len(tu) <= len(tr):
-        return "T_u", tu
-    return "T_r", tr
+    """(side, cells) of the smaller of two built triangles."""
+    side = _smaller_side(len(tu), len(tr))
+    return side, tu if side == "T_u" else tr
 
 
 def supersymmetric_gaps(T: TwoGen):
@@ -245,9 +249,8 @@ def _candidate_pairs(top: int, max_beta: int):
         alpha += 1
 
 
-def _symmetric_count(T: TwoGen) -> int:
-    """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
-    `gap_partition` checks), summed over the row lengths without building a cell."""
+def _block_counts(T: TwoGen):
+    """(|T_u|, |T_r|, |SSG|), summed over the row lengths without building a cell."""
     half_b, half_a = T.alpha // 2, T.beta // 2
     rows = [T.row_length(b) for b in range(1, T.alpha)]
     t_u = sum(rows[half_b:])
@@ -255,6 +258,13 @@ def _symmetric_count(T: TwoGen) -> int:
     ssg = rows[half_b - 1] if T.alpha % 2 == 0 else 0
     if T.beta % 2 == 0:
         ssg += T.column_height(half_a)
+    return t_u, t_r, ssg
+
+
+def _symmetric_count(T: TwoGen) -> int:
+    """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
+    `gap_partition` checks)."""
+    t_u, t_r, ssg = _block_counts(T)
     return min(t_u, t_r) + ssg
 
 
@@ -329,7 +339,8 @@ class CardinalityReport:
 
 
 def card_formulas(T: TwoGen) -> CardinalityReport:
-    """Evaluate the closed cardinality sums against direct counts.
+    """Evaluate the closed cardinality sums against the direct counts of
+    `_block_counts`.
 
     The right-triangle sum clamps negative terms at zero; the upper-triangle
     sum is evaluated as printed, which undercounts for odd alpha, so `agree`
@@ -345,26 +356,22 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     t_u_formula = sum(j * b // a for j in range(1, a // 2))
     h = a // 2 + 1 if a % 2 == 0 else a // 2
     t_r_formula = sum(max(0, j * b // a - b // 2) for j in range(h, a))
-    tu, tr = triangle_u(T), triangle_r(T)
-    ssg = self_symmetric_gaps(T)
-    side, _ = _smaller_triangle(tu, tr)
+    t_u, t_r, ssg = _block_counts(T)
     warnings = []
-    if t_u_formula != len(tu):
-        warnings.append(
-            f"upper-triangle sum {t_u_formula} != direct count {len(tu)} (odd alpha)"
-        )
-    if t_r_formula != len(tr):
-        warnings.append(f"right-triangle sum {t_r_formula} != direct count {len(tr)}")
-    if ssg_formula != len(ssg):
-        warnings.append(f"zero-Wilf count {ssg_formula} != direct count {len(ssg)}")
+    if t_u_formula != t_u:
+        warnings.append(f"upper-triangle sum {t_u_formula} != direct count {t_u} (odd alpha)")
+    if t_r_formula != t_r:
+        warnings.append(f"right-triangle sum {t_r_formula} != direct count {t_r}")
+    if ssg_formula != ssg:
+        warnings.append(f"zero-Wilf count {ssg_formula} != direct count {ssg}")
     return CardinalityReport(
         ssg_formula=ssg_formula,
-        ssg_direct=len(ssg),
+        ssg_direct=ssg,
         t_u_formula=t_u_formula,
-        t_u_direct=len(tu),
+        t_u_direct=t_u,
         t_r_formula=t_r_formula,
-        t_r_direct=len(tr),
-        sg_side=side,
+        t_r_direct=t_r,
+        sg_side=_smaller_side(t_u, t_r),
         agree=not warnings,
         warnings=tuple(warnings),
     )

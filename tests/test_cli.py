@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsym import InconsistentInput, TwoGen, symmetry, wilf
+from gapsym import InconsistentInput, TwoGen, fundamental, symmetry, wilf
 from gapsym.cli import main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, run_survey
@@ -403,3 +404,135 @@ def test_sieve_limit_applies_to_inferred_pair(tmp_path, capsys):
     path = _write(tmp_path, "top.json", {"sg_values": [1 << 18], "ssg_values": []})
     assert main(["reconstruct", "--input", path, "--infer"]) == 3
     assert "limit" in capsys.readouterr().err
+
+
+SURVEY_10_ALL = """\
+partition: pairs=22 violations=0 warnings=0
+reconstruct: pairs=22 violations=0 warnings=0
+equifix: pairs=22 violations=0 warnings=0
+red: pairs=22 violations=0 warnings=0
+uff: pairs=22 violations=0 warnings=3
+  warning: (2,5) excluded (alpha=2)
+  warning: (2,7) excluded (alpha=2)
+  warning: (2,9) excluded (alpha=2)
+cardinality: pairs=22 violations=0 warnings=13
+  warning: (3,4) upper-triangle sum 0 != direct count 1 (odd alpha)
+  warning: (3,5) upper-triangle sum 0 != direct count 1 (odd alpha)
+  warning: (5,6) upper-triangle sum 1 != direct count 3 (odd alpha)
+  warning: (3,7) upper-triangle sum 0 != direct count 2 (odd alpha)
+  warning: (5,7) upper-triangle sum 1 != direct count 3 (odd alpha)
+  warning: (3,8) upper-triangle sum 0 != direct count 2 (odd alpha)
+  warning: (5,8) upper-triangle sum 1 != direct count 4 (odd alpha)
+  warning: (7,8) upper-triangle sum 3 != direct count 6 (odd alpha)
+  warning: (5,9) upper-triangle sum 1 != direct count 4 (odd alpha)
+  warning: (7,9) upper-triangle sum 3 != direct count 6 (odd alpha)
+  ... and 3 more warnings
+conductor-sym: pairs=22 violations=0 warnings=0
+"""
+
+
+def test_survey_all_output_is_pinned(capsys):
+    assert main(["survey", "--max-beta", "10", "--checks", "all"]) == 0
+    assert capsys.readouterr().out == SURVEY_10_ALL
+
+
+def test_survey_labels_each_violation_with_its_pair(monkeypatch, capsys):
+    monkeypatch.setattr(wilf, "is_fixed_point", lambda d: True)
+    assert main(["survey", "--max-beta", "5", "--checks", "equifix"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == (
+        "  VIOLATION (3,4) gap 1: ZeroWilfChecks(wilf_zero=False, on_half_line=False, "
+        "fixed_point=True, selfdual=False, symmetric=False)"
+    )
+
+
+def _every_command(tmp_path):
+    path = _write(tmp_path, "in.json", RECONSTRUCT_78)
+    runs = [["analyze", "--alpha", "7", "--beta", "8", "--format", f] for f in ("json", "text", "svg")]
+    runs.append(["survey", "--max-beta", "8", "--format", "text"])
+    for fmt in ("json", "text"):
+        runs += [
+            ["semimodule", "--gens", "5,7", "--module", "0,9,11,8", "--format", fmt],
+            ["reconstruct", "--input", path, "--format", fmt],
+            ["classes", "--gens", "7,8", "--format", fmt],
+            ["fundamental", "--gens", "3,5", "--format", fmt],
+        ]
+    return runs
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    for argv in _every_command(tmp_path):
+        code = main(argv)
+        expected = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == code, argv
+        assert capsys.readouterr().out == "", argv
+        assert out.read_bytes() == expected.encode(), argv
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    cases = [
+        (["analyze", "--alpha", "3", "--beta", "5"], missing, errno.ENOENT),
+        (["survey", "--max-beta", "5"], tmp_path, errno.EISDIR),
+    ]
+    for argv, path, err in cases:
+        assert main(argv + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {path}: {os.strerror(err)}\n"
+
+
+@pytest.mark.parametrize("pair, argv", [
+    ({"alpha": 5}, ["--infer"]),
+    ({"beta": 99}, ["--infer"]),
+    ({"beta": 99}, []),
+])
+def test_reconstruct_rejects_a_lone_alpha_or_beta(tmp_path, capsys, pair, argv):
+    payload = {"sg_values": [13, 6, 5], "ssg_values": [4, 12, 20], **pair}
+    path = _write(tmp_path, "in.json", payload)
+    assert main(["reconstruct", "--input", path, *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha and beta must be given together\n"
+
+
+def test_reconstruct_max_beta_0_searches_nothing(tmp_path, capsys):
+    path = _write(tmp_path, "in.json", {"sg_values": [13, 6, 5], "ssg_values": [4, 12, 20]})
+    assert main(["reconstruct", "--input", path, "--infer", "--max-beta", "0"]) == 3
+    assert capsys.readouterr().err == "error: no pair up to beta=0 matches [4, 5, 6, 12, 13, 20]\n"
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name in every gapsym module that holds it; returns the list
+    the wrapper appends each call's arguments to."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("gapsym") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_survey_builds_each_pairs_triangles_once(monkeypatch):
+    tu = _count_calls(monkeypatch, symmetry, "triangle_u")
+    tr = _count_calls(monkeypatch, symmetry, "triangle_r")
+    run_survey(8)
+    assert (len(tu), len(tr)) == (14, 14)
+    tu.clear()
+    tr.clear()
+    run_survey(8, ["uff"])
+    assert (len(tu), len(tr)) == (0, 0)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
+    calls = _count_calls(monkeypatch, fundamental, "fundamental_gaps")
+    assert main(["analyze", "--alpha", "7", "--beta", "8", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -125,3 +125,34 @@ def test_every_class_member_is_read():
         if member not in read and not (member.startswith("__") and member.endswith("__"))
     ]
     assert unread == []
+
+
+def _writes(func):
+    """Whether a function refers to sys.stdout, sys.stderr or print, or calls
+    open in a write mode (or a mode it does not spell out as a constant)."""
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "sys" and node.attr in ("stdout", "stderr")):
+            return True
+        if isinstance(node, ast.Name) and node.id == "print":
+            return True
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                    return True
+                if set(mode.value) & set("wax+"):
+                    return True
+    return False
+
+
+def test_only_main_writes_in_cli():
+    # every command returns its output; main alone writes it, to --out or stdout
+    tree = ast.parse((SRC / "cli.py").read_text())
+    writers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name != "main" and _writes(node)
+    ]
+    assert writers == []
