@@ -238,12 +238,18 @@ class TwoGen:
                     return a, b
         return None
 
-    def gap_to_lattice(self, g: int) -> LatticeGap:
-        """The unique cell (a, b) whose value is the gap g."""
+    def _gap_cell(self, g: int):
+        """The cell (a, b) of the gap g; raises NotAGap for 0, negatives and
+        members."""
         cell = self.cell_of(g)
         if cell is None:
             raise NotAGap(f"{g} is not a gap of <{self.alpha}, {self.beta}>")
-        return LatticeGap(cell[0], cell[1], g)
+        return cell
+
+    def gap_to_lattice(self, g: int) -> LatticeGap:
+        """The unique cell (a, b) whose value is the gap g."""
+        a, b = self._gap_cell(g)
+        return LatticeGap(a, b, g)
 
     def walk(self):
         """Yield (a, b, value) for every gap cell, row-major from the top row

@@ -121,6 +121,18 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     return GammaSemimodule(S, keep, cells)
 
 
+def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
+    """The module [0, g] of a gap g of S, built without `make_semimodule`.
+
+    No normalization or peel is needed: 0 is the least generator, g is not
+    in 0 + S because it is a gap, and 0 is not in g + S because g > 0, so
+    (0, g) is already the minimal lean system, ascending.  With one nonzero
+    generator there is no cell order to sort.  `cell` is g's lattice cell
+    when the caller has it.  The caller guarantees that g is a gap.
+    """
+    return GammaSemimodule(S, (0, g), None if cell is None else (cell,))
+
+
 def is_lean(S: NumericalSemigroup, values) -> bool:
     """Whether all pairwise absolute differences of the set are gaps of S."""
     vals = sorted(set(values))

@@ -3,20 +3,20 @@
 Each check replays one structural fact on one pair and yields unlabeled
 `(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
 labels each with its pair, files it, and builds at most one partition per
-pair, when a check first calls `blocks()`.  The known printed-sum
-undercount for the upper triangle at odd alpha is downgraded to a warning.
+pair, when a check first calls `blocks()`; a failed build is kept and
+raised again to each later caller.  The known printed-sum undercount for
+the upper triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from math import gcd
 
 from .errors import GapsymError, InconsistentInput
 from .fundamental import compare_counts, red_equivalence
 from .semigroup import NumericalSemigroup
-from .semimodule import make_semimodule
+from .semimodule import _gap_module
 from .symmetry import (
     _smaller_triangle,
     card_formulas,
@@ -89,19 +89,37 @@ def _check_conductor_sym(T, blocks):
     c = S.conductor
     part = blocks()
 
-    def cond(g):
-        return make_semimodule(S, [0, g]).conductor
+    def cond(a, b):
+        # a cell off the gap lattice has no gap, so no module [0, g]: None
+        # matches no expected conductor
+        return _gap_module(S, T.value(a, b)).conductor if T.in_lattice(a, b) else None
 
     for a, b in part.t_u:
-        g = T.value(a, b)
         expected = c - a * T.alpha
-        if cond(g) != expected or cond(T.value(a, T.alpha - b)) != expected:
+        if cond(a, b) != expected or cond(a, T.alpha - b) != expected:
             yield "violations", f"column {a} conductor mismatch"
     for a, b in part.t_r:
-        g = T.value(a, b)
         expected = c - b * T.beta
-        if cond(g) != expected or cond(T.value(T.beta - a, b)) != expected:
+        if cond(a, b) != expected or cond(T.beta - a, b) != expected:
             yield "violations", f"row {b} conductor mismatch"
+
+
+def _partition_once(T):
+    """A callable that builds T's verified partition on its first call and,
+    on every call, returns it or raises again the GapsymError it raised."""
+    outcome = []
+
+    def blocks():
+        if not outcome:
+            try:
+                outcome.append(gap_partition(T))
+            except GapsymError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], GapsymError):
+            raise outcome[0]
+        return outcome[0]
+
+    return blocks
 
 
 _CHECKS = {
@@ -133,7 +151,7 @@ def run_survey(max_beta: int, checks=("all",)):
     results = {name: CheckResult(name) for name in names}
     for alpha, beta in coprime_pairs(max_beta):
         T = NumericalSemigroup([alpha, beta]).two_gen()
-        blocks = cache(lambda: gap_partition(T))
+        blocks = _partition_once(T)
         label = f"({alpha},{beta}) "
         for name in names:
             res = results[name]

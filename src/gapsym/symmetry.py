@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import make_semimodule
+from .semimodule import _gap_module
 from .wilf import _wilf_number
 
 
@@ -398,7 +398,7 @@ def gap_conductor_partition(S: NumericalSemigroup):
     by_conductor = {}
     wilf = {}
     for g in S.gaps:
-        d = make_semimodule(S, [0, g])
+        d = _gap_module(S, g)
         by_conductor.setdefault(d.conductor, []).append(g)
         wilf[g] = d.wilf
     out = []

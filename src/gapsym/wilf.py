@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotAGap
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import (
-    is_fixed_point,
-    is_selfdual,
-    is_symmetric_sm,
-    make_semimodule,
-)
+from .semimodule import _gap_module, is_fixed_point, is_selfdual, is_symmetric_sm
 
 
 @dataclass(frozen=True)
@@ -37,7 +32,7 @@ def wilf_gap(S: NumericalSemigroup, g: int) -> int:
     """Wilf number of the module [0, g], whose ed is 2; any base."""
     if S.contains(g) or g < 0:
         raise NotAGap(f"{g} is not a gap of {S!r}")
-    return make_semimodule(S, [0, g]).wilf
+    return _gap_module(S, g).wilf
 
 
 def _wilf_number(T: TwoGen, a: int, b: int) -> int:
@@ -97,8 +92,9 @@ class ZeroWilfChecks:
 
 def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
     """Evaluate all five predicates for the module [0, g] independently."""
-    a, b = T.gap_to_lattice(g).point
-    d = make_semimodule(T.semigroup(), [0, g])
+    cell = T._gap_cell(g)
+    a, b = cell
+    d = _gap_module(T.semigroup(), g, cell)
     return ZeroWilfChecks(
         wilf_zero=(d.wilf == 0),
         on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
@@ -116,7 +112,7 @@ def zero_wilf_survey_general(S: NumericalSemigroup):
     """
     rows = []
     for g in S.gaps:
-        d = make_semimodule(S, [0, g])
+        d = _gap_module(S, g)
         if d.wilf != 0:
             continue
         rows.append((g, 0, is_fixed_point(d), is_selfdual(d), is_symmetric_sm(d)))

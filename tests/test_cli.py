@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsym import InconsistentInput, TwoGen, fundamental, symmetry, wilf
+from gapsym import InconsistentInput, TwoGen, fundamental, survey, symmetry, wilf
 from gapsym.cli import main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, run_survey
@@ -536,3 +537,53 @@ def test_analyze_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
     assert main(["analyze", "--alpha", "7", "--beta", "8", "--format", fmt]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fundamental_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
+    calls = _count_calls(monkeypatch, fundamental, "fundamental_gaps")
+    assert main(["fundamental", "--gens", "7,8", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_survey_builds_a_failing_partition_once(monkeypatch):
+    # a pair whose partition fails keeps the error and raises it again to
+    # each check that reads it; the findings are the ones filed when every
+    # such check rebuilt the partition
+    monkeypatch.setattr(symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u))
+    calls = _count_calls(monkeypatch, symmetry, "gap_partition")
+    results = run_survey(8)
+    assert len(calls) == 14
+    broken = [(3, 4), (3, 5), (4, 5), (5, 6), (3, 7), (4, 7), (5, 7), (6, 7), (3, 8), (5, 8), (7, 8)]
+    failed = [f"({a},{b}) blocks do not partition the gap lattice of TwoGen({a}, {b})" for a, b in broken]
+    odd = [(3, 4, 0, 1), (3, 5, 0, 1), (5, 6, 1, 3), (3, 7, 0, 2), (5, 7, 1, 3), (3, 8, 0, 2), (5, 8, 1, 4),
+           (7, 8, 3, 6)]
+    undercounts = [f"({a},{b}) upper-triangle sum {s} != direct count {n} (odd alpha)" for a, b, s, n in odd]
+    assert [(r.name, r.pairs, r.violations, r.warnings) for r in results] == [
+        ("partition", 14, failed, []),
+        ("reconstruct", 14, failed, []),
+        ("equifix", 14, [], []),
+        ("red", 14, [], []),
+        ("uff", 14, [], ["(2,5) excluded (alpha=2)", "(2,7) excluded (alpha=2)"]),
+        ("cardinality", 14, [], undercounts),
+        ("conductor-sym", 14, failed, []),
+    ]
+
+
+def test_conductor_sym_files_off_lattice_cells_as_mismatches(monkeypatch):
+    # a partition of <3,5> whose T_u holds (3, 1), mirrored to (3, 2) off the
+    # lattice, and whose T_r holds (1, 3), itself off the lattice: both are
+    # the usual mismatch violations, and no module [0, g] is built for them
+    real = symmetry.gap_partition
+
+    def skewed(T):
+        part = real(T)
+        if (T.alpha, T.beta) != (3, 5):
+            return part
+        return dataclasses.replace(part, t_u=part.t_u | {(3, 1)}, t_r=part.t_r | {(1, 3)})
+
+    monkeypatch.setattr(survey, "gap_partition", skewed)
+    (res,) = run_survey(7, ["conductor-sym"])
+    assert res.violations == ["(3,5) column 3 conductor mismatch", "(3,5) row 3 conductor mismatch"]
+    assert res.warnings == []

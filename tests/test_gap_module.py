@@ -1,0 +1,82 @@
+"""The module [0, g] of a gap, built directly by `_gap_module`, against the
+same module built through `make_semimodule`, and the per-gap checks that
+read it against their definitions on the `make_semimodule` module."""
+
+from gapsym import (
+    NumericalSemigroup,
+    RedChecks,
+    ZeroWilfChecks,
+    gap_conductor_partition,
+    make_semimodule,
+    red_equivalence,
+    rectangle_cells,
+    symmetry,
+    syzygy,
+    wilf,
+    wilf_gap,
+    zero_wilf_equivalences,
+    zero_wilf_survey_general,
+)
+from gapsym.semimodule import _dual_generators_scan, _gap_module
+from gapsym.survey import coprime_pairs
+
+BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
+
+
+def _semigroups():
+    """Every coprime pair with beta <= 30, then the four larger bases."""
+    return [NumericalSemigroup(p) for p in coprime_pairs(30)] + [NumericalSemigroup(b) for b in BASES]
+
+
+def _assert_same_module(d, ref):
+    S = ref.base
+    assert d.base is S
+    assert d.min_generators == ref.min_generators
+    assert (d.conductor, d.delta, d.wilf, d.gap_list) == (ref.conductor, ref.delta, ref.wilf, ref.gap_list)
+    points = (-1, 0, S.conductor - 1, S.conductor, ref.conductor - 1, ref.conductor)
+    assert [d.member(x) for x in points] == [ref.member(x) for x in points]
+
+
+def _zero_wilf_by_definition(T, g, ref):
+    a, b = T.cell_of(g)
+    cd = ref.conductor
+    gaps = set(ref.gap_list)
+    return ZeroWilfChecks(
+        wilf_zero=(ref.ed * ref.delta - ref.conductor == 0),
+        on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
+        fixed_point=(syzygy(ref).min_generators == ref.min_generators),
+        selfdual=(make_semimodule(ref.base, _dual_generators_scan(ref)).min_generators == ref.min_generators),
+        # below the conductor, x is a member exactly when cd - 1 - x is not
+        symmetric=({cd - 1 - x for x in gaps} == set(range(cd)) - gaps),
+    )
+
+
+def test_gap_module_and_per_gap_checks_match_make_semimodule():
+    for S in _semigroups():
+        T = S.two_gen() if len(S.generators) == 2 else None
+        rect = rectangle_cells(T) if T is not None else None
+        for g in S.gaps:
+            ref = make_semimodule(S, [0, g])
+            d = _gap_module(S, g)
+            _assert_same_module(d, ref)
+            assert wilf_gap(S, g) == ref.ed * ref.delta - ref.conductor
+            if T is None:
+                continue
+            # the lazy cells and the cell a caller passes in agree
+            with_cell = _gap_module(S, g, T.cell_of(g))
+            assert with_cell.min_generators == ref.min_generators
+            assert d.cells == with_cell.cells == ref.cells
+            assert zero_wilf_equivalences(T, g) == _zero_wilf_by_definition(T, g, ref)
+            assert red_equivalence(T, g) == RedChecks(
+                double_in_semigroup=S.contains(2 * g),
+                in_rectangle=(T.cell_of(g) in rect),
+                wilf_nonpositive=(ref.ed * ref.delta - ref.conductor <= 0),
+            )
+
+
+def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
+    sgs = _semigroups()
+    direct = [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
+    for mod in (symmetry, wilf):
+        monkeypatch.setattr(mod, "_gap_module", lambda S, g, cell=None: make_semimodule(S, [0, g]))
+    assert direct == [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]

@@ -58,6 +58,26 @@ def test_no_unreferenced_module_names_in_src():
     assert unused == []
 
 
+def test_no_unused_imports_in_src():
+    # a module-level import that its own module never loads is left over
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert files, SRC
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in bound if name not in loaded]
+    assert found == []
+
+
 def test_every_exported_name_is_read():
     # a name exported by the package that nothing in the package, the tests
     # or the demos reads has no caller
