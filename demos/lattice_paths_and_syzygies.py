@@ -18,8 +18,8 @@ print(f"semigroup <5,7>: conductor {S.conductor}, gaps {list(S.gaps)}")
 
 # The lattice picture: every gap g is 35 - 5a - 7b for a unique cell (a,b).
 T = S.two_gen()
-for e in T.lattice_gaps():
-    print(f"  cell ({e.a},{e.b}) -> gap {e.value}")
+for a, b, g in T.lattice_gaps():
+    print(f"  cell ({a},{b}) -> gap {g}")
 
 # A module generated by [0,9,11,8].  The nonzero generators sit at the
 # east-to-south turns of a staircase path; the opposite corners carry the

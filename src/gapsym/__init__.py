@@ -40,7 +40,6 @@ from .oracle import (
     enumerate_semigroups_by_genus,
 )
 from .semigroup import (
-    LatticeGap,
     NumericalSemigroup,
     TwoGen,
     gap_order_leq,

@@ -28,6 +28,7 @@ from .semimodule import (
 )
 from .survey import CHECK_NAMES, run_survey
 from .symmetry import (
+    _row_major,
     _smaller_triangle,
     _symmetric_count,
     cell_values,
@@ -80,10 +81,6 @@ def _output(args, report, lines=None) -> str:
     return "\n".join(text) + "\n"
 
 
-def _sorted_cells(cells):
-    return [[a, b] for a, b in sorted(cells, key=lambda p: (-p[1], p[0]))]
-
-
 def cmd_analyze(args):
     _check_width([args.alpha, args.beta])
     T = TwoGen(args.alpha, args.beta)
@@ -105,8 +102,8 @@ def cmd_analyze(args):
         "lattice": [
             {"a": a, "b": b, "value": v, "wilf": w} for a, b, v, w in wilf_grid(T)
         ],
-        "sg": {"side": side, "cells": _sorted_cells(sg), "values": cell_values(T, sg)},
-        "ssg": {"cells": _sorted_cells(ssg), "values": cell_values(T, ssg)},
+        "sg": {"side": side, "cells": _row_major(sg), "values": cell_values(T, sg)},
+        "ssg": {"cells": _row_major(ssg), "values": cell_values(T, ssg)},
         "partition": dict(
             zip(("t_u", "s_alpha_t_u", "ssg", "t_r", "s_beta_t_r"), part.block_sizes())
         ),
@@ -160,10 +157,12 @@ _RECONSTRUCT_KEYS = {"alpha", "beta", "sg_side", "sg_cells", "sg_values", "ssg_c
 
 
 def _load_reconstruct_input(path):
+    # a JSONDecodeError, a file that is not UTF-8 and an integer past the
+    # int-string digit limit are ValueErrors; deep nesting is a RecursionError
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InconsistentInput(f"cannot parse {path}: {exc}")
     if not isinstance(data, dict):
         raise InconsistentInput("top-level JSON value must be an object")
@@ -202,7 +201,7 @@ def _load_reconstruct_input(path):
 def _cells_of(T, data, prefix):
     if f"{prefix}_cells" in data:
         return frozenset(tuple(p) for p in data[f"{prefix}_cells"])
-    return frozenset(T.gap_to_lattice(v).point for v in data[f"{prefix}_values"])
+    return frozenset(T.gap_to_lattice(v) for v in data[f"{prefix}_values"])
 
 
 def cmd_reconstruct(args):

@@ -81,7 +81,7 @@ class RedChecks:
 
 
 def red_equivalence(T: TwoGen, g: int) -> RedChecks:
-    a, b = T._gap_cell(g)
+    a, b = T.gap_to_lattice(g)
     S = T.semigroup()
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),

@@ -14,6 +14,7 @@ from .errors import InconsistentInput
 from .fundamental import fundamental_gaps
 from .semigroup import TwoGen
 from .symmetry import (
+    _row_major,
     _smaller_triangle,
     self_symmetric_gaps,
     triangle_r,
@@ -37,7 +38,7 @@ CELL = 40
 
 def _cell_rects(T: TwoGen, cells, color, opacity):
     out = []
-    for a, b in sorted(cells, key=lambda p: (-p[1], p[0])):
+    for a, b in _row_major(cells):
         x = (a - 1) * CELL
         y = (T.alpha - b) * CELL
         out.append(

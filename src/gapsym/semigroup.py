@@ -8,7 +8,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
@@ -154,19 +153,6 @@ def make_semigroup(generators) -> NumericalSemigroup:
     return NumericalSemigroup(generators)
 
 
-@dataclass(frozen=True)
-class LatticeGap:
-    """A gap e of <alpha, beta> written e = alpha*beta - a*alpha - b*beta."""
-
-    a: int
-    b: int
-    value: int
-
-    @property
-    def point(self):
-        return (self.a, self.b)
-
-
 class TwoGen:
     """Lattice-coordinate view of the semigroup <alpha, beta>.
 
@@ -176,6 +162,10 @@ class TwoGen:
     """
 
     __slots__ = ("alpha", "beta", "_alpha_inv", "_semigroup")
+
+    # lattice_gaps, gap_values, gap_to_lattice and value stay methods under
+    # these names, as does GammaSemimodule.lattice_points: perfbench/tracing.py
+    # patches each of them through cls.__dict__[name].
 
     def __init__(self, alpha: int, beta: int):
         alpha, beta = int(alpha), int(beta)
@@ -238,22 +228,17 @@ class TwoGen:
                     return a, b
         return None
 
-    def _gap_cell(self, g: int):
-        """The cell (a, b) of the gap g; raises NotAGap for 0, negatives and
-        members."""
+    def gap_to_lattice(self, g: int):
+        """The unique cell (a, b) whose value is the gap g; raises NotAGap
+        for 0, negatives and members."""
         cell = self.cell_of(g)
         if cell is None:
             raise NotAGap(f"{g} is not a gap of <{self.alpha}, {self.beta}>")
         return cell
 
-    def gap_to_lattice(self, g: int) -> LatticeGap:
-        """The unique cell (a, b) whose value is the gap g."""
-        a, b = self._gap_cell(g)
-        return LatticeGap(a, b, g)
-
     def walk(self):
         """Yield (a, b, value) for every gap cell, row-major from the top row
-        (b descending, a ascending), without building a LatticeGap per cell."""
+        (b descending, a ascending)."""
         alpha = self.alpha
         for b in range(alpha - 1, 0, -1):
             top = self.product - b * self.beta
@@ -261,8 +246,8 @@ class TwoGen:
                 yield a, b, top - a * alpha
 
     def lattice_gaps(self):
-        """All gap cells, row-major from the top row (b descending, a ascending)."""
-        return tuple(LatticeGap(a, b, v) for a, b, v in self.walk())
+        """(a, b, value) of every gap cell, in the order of `walk`."""
+        return tuple(self.walk())
 
     def gap_values(self):
         return tuple(sorted(v for _, _, v in self.walk()))
@@ -272,7 +257,7 @@ class TwoGen:
 
 
 def gap_order_leq(e1, e2) -> bool:
-    """Partial order on gaps: (a1, b1) <= (a2, b2) iff a1 <= a2 and b1 >= b2."""
-    a1, b1 = e1.point if isinstance(e1, LatticeGap) else (e1[0], e1[1])
-    a2, b2 = e2.point if isinstance(e2, LatticeGap) else (e2[0], e2[1])
-    return a1 <= a2 and b1 >= b2
+    """Partial order on gaps: (a1, b1) <= (a2, b2) iff a1 <= a2 and b1 >= b2.
+
+    Cells and (a, b, value) triples compare by their first two entries."""
+    return e1[0] <= e2[0] and e1[1] >= e2[1]

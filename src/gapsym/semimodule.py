@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
-from .semigroup import LatticeGap, NumericalSemigroup, _bits, _peel
+from .semigroup import NumericalSemigroup, _bits, _peel
 
 
 class GammaSemimodule:
@@ -74,13 +74,13 @@ class GammaSemimodule:
         """(a, b) cells of the nonzero generators (two-generator base only)."""
         if self._cells is None:
             T = self.base.two_gen()
-            self._cells = tuple(T.gap_to_lattice(g).point for g in self.min_generators if g != 0)
+            self._cells = tuple(T.gap_to_lattice(g) for g in self.min_generators if g != 0)
         return self._cells
 
     def lattice_points(self):
-        """Lattice cells of the nonzero generators (two-generator base only)."""
+        """(a, b, value) of the nonzero generators (two-generator base only)."""
         gens = [g for g in self.min_generators if g != 0]
-        return tuple(LatticeGap(a, b, g) for (a, b), g in zip(self.cells, gens))
+        return tuple((a, b, g) for (a, b), g in zip(self.cells, gens))
 
     def __eq__(self, other):
         return (

@@ -19,6 +19,12 @@ from .semimodule import _gap_module
 from .wilf import _wilf_number
 
 
+def _row_major(cells):
+    """Cells (a, b) sorted as `TwoGen.walk` yields them: b descending, then a
+    ascending."""
+    return sorted(cells, key=lambda p: (-p[1], p[0]))
+
+
 def _lg_cells(T: TwoGen) -> frozenset:
     return frozenset((a, b) for a, b, _ in T.walk())
 

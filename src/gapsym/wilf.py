@@ -23,8 +23,6 @@ class WilfReport:
     ed: int
     delta: int
     conductor: int
-    a: int
-    b: int
     min_branch: str
 
 
@@ -66,8 +64,6 @@ def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:
         ed=2,
         delta=(w + conductor) // 2,
         conductor=conductor,
-        a=a,
-        b=b,
         min_branch=branch,
     )
 
@@ -92,7 +88,7 @@ class ZeroWilfChecks:
 
 def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
     """Evaluate all five predicates for the module [0, g] independently."""
-    cell = T._gap_cell(g)
+    cell = T.gap_to_lattice(g)
     a, b = cell
     d = _gap_module(T.semigroup(), g, cell)
     return ZeroWilfChecks(

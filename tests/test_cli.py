@@ -163,6 +163,22 @@ def test_reconstruct_malformed_exits_3(tmp_path, capsys):
     assert main(["reconstruct", "--input", path]) == 3
     capsys.readouterr()
 
+    # inputs that json.load rejects with an error other than JSONDecodeError:
+    # bytes that are not UTF-8, an integer past the int-string digit limit
+    # (also under --infer) and nesting deeper than the recursion limit
+    (tmp_path / "latin1.json").write_bytes(b'\xff\xfe{"alpha": 7}')
+    big = "1" * 5000
+    (tmp_path / "big.json").write_text(
+        f'{{"alpha": 7, "beta": 8, "sg_values": [{big}], "ssg_values": []}}')
+    (tmp_path / "big_infer.json").write_text(f'{{"sg_values": [{big}], "ssg_values": []}}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    for name, extra in [("latin1.json", []), ("big.json", []), ("big_infer.json", ["--infer"]),
+                        ("deep.json", [])]:
+        path = str(tmp_path / name)
+        assert main(["reconstruct", "--input", path, *extra]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse {path}: ") and err.count("\n") == 1, name
+
 
 RECONSTRUCT_78 = {
     "alpha": 7, "beta": 8,

@@ -89,8 +89,8 @@ def test_fg_forces_nonpositive_wilf():
         T = TwoGen(alpha, beta)
         S = T.semigroup()
         for g in fundamental_gaps(S).gaps:
-            e = T.gap_to_lattice(g)
-            assert wilf_gap_formula(T, e.a, e.b).w <= 0
+            a, b = T.gap_to_lattice(g)
+            assert wilf_gap_formula(T, a, b).w <= 0
 
 
 def test_sg_disjoint_from_fg_and_ssg_doubles():

@@ -23,9 +23,9 @@ def test_formula_matches_definition_up_to_30():
     for alpha, beta in PAIRS_30:
         T = TwoGen(alpha, beta)
         S = T.semigroup()
-        for e in T.lattice_gaps():
-            assert wilf_gap_formula(T, e.a, e.b).w == wilf_gap(S, e.value)
-            assert wilf_gap(S, e.value) == make_semimodule(S, [0, e.value]).wilf
+        for a, b, g in T.lattice_gaps():
+            assert wilf_gap_formula(T, a, b).w == wilf_gap(S, g)
+            assert wilf_gap(S, g) == make_semimodule(S, [0, g]).wilf
 
 
 def test_reflection_antisymmetry():
@@ -41,18 +41,18 @@ def test_sign_law():
     for alpha, beta in PAIRS_40:
         T = TwoGen(alpha, beta)
         S = T.semigroup()
-        for e in T.lattice_gaps():
-            doubled = S.contains(2 * e.value)
-            in_rect = e.a <= beta // 2 and e.b <= alpha // 2
-            nonpos = wilf_gap_formula(T, e.a, e.b).w <= 0
+        for a, b, g in T.lattice_gaps():
+            doubled = S.contains(2 * g)
+            in_rect = a <= beta // 2 and b <= alpha // 2
+            nonpos = wilf_gap_formula(T, a, b).w <= 0
             assert doubled == in_rect == nonpos
 
 
 def test_five_way_equivalence_up_to_30():
     for alpha, beta in PAIRS_30:
         T = TwoGen(alpha, beta)
-        for e in T.lattice_gaps():
-            assert zero_wilf_equivalences(T, e.value).all_agree(), (alpha, beta, e)
+        for a, b, g in T.lattice_gaps():
+            assert zero_wilf_equivalences(T, g).all_agree(), (alpha, beta, a, b, g)
 
 
 pairs = st.sampled_from(PAIRS_40)
@@ -63,8 +63,8 @@ pairs = st.sampled_from(PAIRS_40)
 def test_gap_value_lattice_round_trip(pair, data):
     T = TwoGen(*pair)
     g = data.draw(st.sampled_from(T.semigroup().gaps))
-    e = T.gap_to_lattice(g)
-    assert T.lattice_to_gap(e.a, e.b) == g
+    a, b = T.gap_to_lattice(g)
+    assert T.lattice_to_gap(a, b) == g
 
 
 @settings(max_examples=150, derandomize=True)

@@ -3,7 +3,6 @@ import pytest
 from gapsym import (
     EmptyInput,
     GcdNotOne,
-    LatticeGap,
     NotAGap,
     OutOfTriangle,
     TwoGen,
@@ -86,9 +85,9 @@ def test_two_gen_conductor_genus_small_sweep():
 
 def test_gap_to_lattice():
     T = TwoGen(5, 7)
-    assert T.gap_to_lattice(23) == LatticeGap(1, 1, 23)
-    assert T.gap_to_lattice(1) == LatticeGap(4, 2, 1)
-    assert TwoGen(8, 13).gap_to_lattice(25).point == (5, 3)
+    assert T.gap_to_lattice(23) == (1, 1)
+    assert T.gap_to_lattice(1) == (4, 2)
+    assert TwoGen(8, 13).gap_to_lattice(25) == (5, 3)
     with pytest.raises(NotAGap):
         T.gap_to_lattice(5)
     with pytest.raises(NotAGap):
@@ -109,18 +108,32 @@ def test_lattice_to_gap():
 def test_lattice_bijection_round_trip():
     from math import gcd
 
-    for a in range(2, 41):
-        for b in range(a + 1, 41):
-            if gcd(a, b) != 1:
+    for alpha in range(2, 41):
+        for beta in range(alpha + 1, 41):
+            if gcd(alpha, beta) != 1:
                 continue
-            T = TwoGen(a, b)
+            T = TwoGen(alpha, beta)
+            S = make_semigroup([alpha, beta])
             cells = T.lattice_gaps()
             assert len(cells) == T.genus
-            values = sorted(e.value for e in cells)
-            assert values == list(make_semigroup([a, b]).gaps)
-            for e in cells:
-                assert T.gap_to_lattice(e.value) == e
-                assert T.lattice_to_gap(e.a, e.b) == e.value
+            values = sorted(v for _, _, v in cells)
+            assert values == list(S.gaps)
+            for a, b, v in cells:
+                assert T.gap_to_lattice(v) == (a, b)
+                assert T.lattice_to_gap(a, b) == v
+            # the raising lookup on every integer around the gaps: it agrees
+            # with cell_of on gaps and raises on non-gaps, negatives included
+            gaps = set(S.gaps)
+            for x in range(-2, S.conductor + beta + 1):
+                if x in gaps:
+                    cell = T.gap_to_lattice(x)
+                    assert cell == T.cell_of(x)
+                    assert T.value(*cell) == x
+                else:
+                    assert T.cell_of(x) is None
+                    with pytest.raises(NotAGap) as info:
+                        T.gap_to_lattice(x)
+                    assert str(info.value) == f"{x} is not a gap of <{alpha}, {beta}>"
 
 
 def test_walk_matches_lattice_gaps():
@@ -131,7 +144,7 @@ def test_walk_matches_lattice_gaps():
     for alpha, beta in coprime_pairs(40):
         T = TwoGen(alpha, beta)
         walk = list(T.walk())
-        assert walk == [(e.a, e.b, e.value) for e in T.lattice_gaps()]
+        assert walk == list(T.lattice_gaps())
         cells = [
             (a, b, alpha * beta - a * alpha - b * beta)
             for b in range(alpha - 1, 0, -1)

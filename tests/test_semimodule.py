@@ -96,8 +96,8 @@ def test_syzygy_generators():
     assert syzygy_generators(make_semimodule(S4613, [0, 11])) == [17, 19, 24]
     T = S78.two_gen()
     for g in S78.gaps:
-        e = T.gap_to_lattice(g)
-        expected = sorted({T.product - e.b * T.beta, T.product - e.a * T.alpha})
+        a, b = T.gap_to_lattice(g)
+        expected = sorted({T.product - b * T.beta, T.product - a * T.alpha})
         assert syzygy_generators(make_semimodule(S78, [0, g])) == expected
     with pytest.raises(PrincipalModule):
         syzygy_generators(make_semimodule(S57, [0]))
@@ -210,8 +210,8 @@ def test_cells_and_path_agree_with_direct_construction():
             assert _closed_forms(direct) == first
             assert _closed_forms(made) == first
             assert _closed_forms(direct) == first
-            assert [(e.a, e.b) for e in made.lattice_points()] == list(made.cells)
-            assert [e.value for e in made.lattice_points()] == list(values[1:])
+            assert [(a, b) for a, b, _ in made.lattice_points()] == list(made.cells)
+            assert [v for _, _, v in made.lattice_points()] == list(values[1:])
 
 
 def test_three_generator_base_keeps_the_scan():

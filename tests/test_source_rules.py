@@ -176,3 +176,27 @@ def test_only_main_writes_in_cli():
         and node.name != "main" and _writes(node)
     ]
     assert writers == []
+
+
+def test_perfbench_traced_methods_exist():
+    # perfbench/tracing.py patches methods by name; tier-1 never imports it,
+    # so a renamed or deleted method would only show in a traced benchmark run
+    tracing = SRC.parents[1] / "perfbench" / "tracing.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and node.targets[0].id in ("METHODS", "COUNTED")
+    }
+    assert set(tables) == {"METHODS", "COUNTED"}, tracing
+    missing = []
+    for layer, cls, method, _ in tables["METHODS"] + tables["COUNTED"]:
+        tree = ast.parse((SRC / f"{layer}.py").read_text())
+        defined = {
+            node.name
+            for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls
+            for node in c.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        if method not in defined:
+            missing.append(f"{layer}.{cls}.{method}")
+    assert missing == []

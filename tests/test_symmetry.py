@@ -123,7 +123,7 @@ def test_cell_sets_match_lattice_definitions():
     # definition filtered over the whole gap lattice
     for alpha, beta in coprime_pairs(40):
         T = TwoGen(alpha, beta)
-        lg = [(e.a, e.b) for e in T.lattice_gaps()]
+        lg = [(a, b) for a, b, _ in T.lattice_gaps()]
         ha, hb = alpha // 2, beta // 2
         pair = (alpha, beta)
         assert triangle_u(T) == {(a, b) for a, b in lg if b > ha}, pair
@@ -371,17 +371,17 @@ def test_reflection_pair_consistency_sweep():
         for cls in gap_conductor_partition(S):
             paired = set()
             for g1, g2 in cls.pairs:
-                e1 = T.gap_to_lattice(g1)
+                a1, b1 = T.gap_to_lattice(g1)
                 refl = {
-                    T.value(e1.a, alpha - e1.b) if T.in_lattice(e1.a, alpha - e1.b) else None,
-                    T.value(beta - e1.a, e1.b) if T.in_lattice(beta - e1.a, e1.b) else None,
+                    T.value(a1, alpha - b1) if T.in_lattice(a1, alpha - b1) else None,
+                    T.value(beta - a1, b1) if T.in_lattice(beta - a1, b1) else None,
                 }
                 assert g2 in refl, (alpha, beta, g1, g2)
                 paired |= {g1, g2}
             left = [g for g in cls.members if g not in paired]
             if len(cls.members) % 2 == 1:
                 assert len(left) == 1
-                e = T.gap_to_lattice(left[0])
-                assert wilf_gap_formula(T, e.a, e.b).w == 0
+                a, b = T.gap_to_lattice(left[0])
+                assert wilf_gap_formula(T, a, b).w == 0
             else:
                 assert not left

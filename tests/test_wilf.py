@@ -76,5 +76,5 @@ def test_formula_matches_direct_small():
     S = make_semigroup([8, 13])
     T = S.two_gen()
     for g in S.gaps:
-        e = T.gap_to_lattice(g)
-        assert wilf_gap_formula(T, e.a, e.b).w == wilf_gap(S, g)
+        a, b = T.gap_to_lattice(g)
+        assert wilf_gap_formula(T, a, b).w == wilf_gap(S, g)
