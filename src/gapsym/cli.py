@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
 from .fundamental import divisor_closure, fundamental_gaps
@@ -71,12 +72,54 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _json_text(obj, indent=""):
+    """`obj` as the text of `json.dumps(obj, indent=2)`, nested at `indent`.
+
+    It exists because CPython 3.11 drops its C encoder when `indent` is set,
+    and the pure-Python one took most of an `analyze --format json` run; it
+    may be deleted once the C encoder handles `indent`.  It writes dict,
+    list, tuple (as an array), int, str, bool and None, and raises TypeError
+    on any other type and on a non-str dict key, which `_json_str` rejects.
+    Strings are escaped by `_json_str`, as with `ensure_ascii`.  Int and str
+    leaves are written in the comprehensions, without a recursive call; for
+    an exact int, `f"{v}"` is `int.__repr__(v)`.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return f"{obj}"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        parts = [
+            _json_str(k) + ": "
+            + (f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        parts = [
+            f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner)
+            for v in obj
+        ]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _output(args, report, lines=None) -> str:
     """A command's output in its --format: the report as JSON, or as text
     from `lines()`, or one `key: value` line per report key when no lines
     are given.  The text lines are built only for text output."""
     if args.format == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_text(report) + "\n"
     text = lines() if lines else (f"{k}: {v}" for k, v in report.items())
     return "\n".join(text) + "\n"
 

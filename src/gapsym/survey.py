@@ -67,6 +67,8 @@ def _check_per_gap(T, predicates):
 
 
 def _check_uff(T, blocks):
+    # alpha = 2 fails for every beta >= 5: all (beta-1)/2 gaps are self-symmetric,
+    # so |SG u SSG| is the genus, while the gap 1 is not fundamental (3 is a gap)
     if T.alpha == 2 and T.beta > 3:
         yield "warnings", "excluded (alpha=2)"
         return

@@ -9,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gapsym import InconsistentInput, TwoGen, fundamental, survey, symmetry, wilf
-from gapsym.cli import main
+from gapsym.cli import _json_text, main
 from gapsym.render import LAYERS, render_svg
-from gapsym.survey import CHECK_NAMES, run_survey
+from gapsym.survey import CHECK_NAMES, coprime_pairs, run_survey
 
 
 def run_json(capsys, argv):
@@ -68,6 +69,72 @@ def test_analyze_json_deterministic(capsys):
     first = capsys.readouterr().out
     main(["analyze", "--alpha", "7", "--beta", "8"])
     assert capsys.readouterr().out == first
+
+
+# 2-, 3- and 4-generator bases for the per-generator-set JSON commands
+JSON_GEN_SETS = [
+    [2, 3], [3, 5], [5, 7], [7, 8], [2, 9], [4, 9], [6, 11], [8, 13], [10, 21],
+    [3, 5, 7], [4, 6, 9], [6, 9, 10], [7, 9, 11], [9, 10, 11], [11, 13, 17], [12, 17, 19],
+    [4, 5, 6, 7], [5, 6, 7, 8], [6, 7, 8, 9], [5, 8, 11, 14], [8, 10, 13, 17], [10, 11, 12, 13],
+]
+
+
+def test_json_output_is_the_stdlib_indent_2_text(tmp_path):
+    # the stdlib round trip is the reference: the bytes of every JSON
+    # command are those of json.dumps(report, indent=2)
+    runs = [["analyze", "--alpha", str(a), "--beta", str(b)] for a, b in coprime_pairs(44)]
+    for gens in JSON_GEN_SETS:
+        g = ",".join(map(str, gens))
+        runs += [["classes", "--gens", g], ["fundamental", "--gens", g]]
+        # a principal module (its null fields) and [0, m - 1], m - 1 a gap
+        runs += [["semimodule", "--gens", g, "--module", m] for m in ("0", f"0,{gens[0] - 1}")]
+    outputs = {}
+    for argv in runs:
+        code, out, err = _in_process(argv)
+        assert (code, err) == (0, ""), argv
+        outputs[tuple(argv)] = out
+    for a, b in coprime_pairs(15):
+        rep = json.loads(outputs[("analyze", "--alpha", str(a), "--beta", str(b))])
+        values = {"sg_values": rep["sg"]["values"], "ssg_values": rep["ssg"]["values"]}
+        plain = _write(tmp_path, f"{a}_{b}.json", {"alpha": a, "beta": b, **values})
+        bare = _write(tmp_path, f"{a}_{b}_bare.json", values)
+        for argv in (["reconstruct", "--input", plain], ["reconstruct", "--input", bare, "--infer"]):
+            code, out, _ = _in_process(argv)
+            # pairs that share their symmetric values make --infer exit 4
+            assert code in (0, 4), argv
+            if code == 0:
+                outputs[tuple(argv)] = out
+    assert sum(argv[0] == "reconstruct" for argv in outputs) > 100
+    for argv, out in outputs.items():
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+_JSON_STR = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff'))
+_JSON_LEAF = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | _JSON_STR
+)
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_JSON_STR, inner, max_size=5),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(_JSON_VALUE)
+@example({"": [], "{}": {}, "()": (), "nested": [[], {}, ()]})
+@example([None, True, False, {"none": None, "true": True, "false": False}])
+@example({'"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800': ['"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800']})
+@example([-(10**300), 10**300, -1, 0, 2**64, (1, (2, ()))])
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, {1, 2}, {1: "int key"}, [{"ok": [0.0]}], {"a": {True: 1}}])
+def test_json_text_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)
 
 
 def test_semimodule_json(capsys):

@@ -16,6 +16,7 @@ from gapsym import (
 )
 from gapsym.oracle import enumerate_semigroups_by_genus
 from gapsym.survey import coprime_pairs
+from gapsym.symmetry import _symmetric_count
 
 EXPECTED_FG_813 = sorted(
     [83, 75, 67, 59, 51, 43, 70, 62, 54, 46, 38, 30, 57, 49, 41, 33, 44, 36, 28, 20]
@@ -132,6 +133,15 @@ def test_alpha2_fg_formula():
     for beta in range(3, 42, 2):
         cc = compare_counts(TwoGen(2, beta))
         assert cc.fg == cc.alpha2_fg_formula, beta
+
+
+def test_alpha2_count_inequality_holds_only_at_beta_3():
+    # why `uff` excludes alpha = 2: every gap is self-symmetric, and from
+    # beta = 5 on the gap 1 is not fundamental (3 is a gap)
+    for beta in range(3, 80, 2):
+        T = TwoGen(2, beta)
+        assert _symmetric_count(T) == (beta - 1) // 2 == T.genus, beta
+        assert compare_counts(T).inequality_holds == (beta == 3), beta
 
 
 @pytest.mark.parametrize("check", [red_equivalence, zero_wilf_equivalences])

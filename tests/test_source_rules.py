@@ -178,6 +178,20 @@ def test_only_main_writes_in_cli():
     assert writers == []
 
 
+def test_only_output_writes_json():
+    # JSON text has one writer, cli._output; no module calls or imports the
+    # stdlib encoder (json.dump, json.dumps or JSONEncoder)
+    encoders = {"dump", "dumps", "JSONEncoder"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in encoders)
+        or (isinstance(node, ast.ImportFrom) and any(a.name in encoders for a in node.names))
+    ]
+    assert found == []
+
+
 def test_perfbench_traced_methods_exist():
     # perfbench/tracing.py patches methods by name; tier-1 never imports it,
     # so a renamed or deleted method would only show in a traced benchmark run

@@ -24,6 +24,7 @@ from gapsym import (
     triangle_u,
 )
 from gapsym.survey import coprime_pairs
+from gapsym.symmetry import _block_counts
 
 T78 = TwoGen(7, 8)
 
@@ -326,6 +327,17 @@ def test_card_direct_vs_brute_cells():
         rep = card_formulas(T)
         assert rep.t_u_direct == tu and rep.t_r_direct == tr
         assert rep.ssg_formula == rep.ssg_direct
+
+
+def test_corrected_upper_triangle_sum():
+    # the printed sum stops at alpha//2 - 1 and undercounts at odd alpha;
+    # running j up to ceil(alpha/2) - 1 counts T_u exactly
+    pairs = list(coprime_pairs(60))
+    assert len(pairs) == 1042
+    for alpha, beta in pairs:
+        T = TwoGen(alpha, beta)
+        corrected = sum(j * beta // alpha for j in range(1, -(-alpha // 2)))
+        assert corrected == _block_counts(T)[0] == len(triangle_u(T)), (alpha, beta)
 
 
 def test_gap_conductor_partition_78():
