@@ -27,6 +27,7 @@ from .fundamental import (
     RedChecks,
     compare_counts,
     divisor_closure,
+    fundamental_cells,
     fundamental_gaps,
     h_determines,
     red_equivalence,

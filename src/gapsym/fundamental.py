@@ -8,8 +8,8 @@ from math import isqrt
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
+from .semimodule import _gap_module
 from .symmetry import _symmetric_count
-from .wilf import wilf_gap
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,41 @@ class FundamentalGapSet:
 def fundamental_gaps(S: NumericalSemigroup) -> FundamentalGapSet:
     fg = tuple(g for g in S.gaps if S.contains(2 * g) and S.contains(3 * g))
     return FundamentalGapSet(gaps=fg)
+
+
+def fundamental_cells(T: TwoGen) -> set:
+    """Cells of the fundamental gaps of <alpha, beta>, in closed form: the
+    cells (a, b) with a <= beta // 2 and b <= alpha // 2, and 3a <= beta or
+    3b <= alpha.
+
+    Every integer n is x*alpha + y*beta for one x in [0, beta), and n lies
+    in S exactly when y >= 0.  Let g be the value of the cell (a, b), so
+    2g = (beta - 2a)*alpha + (alpha - 2b)*beta.  If 2a <= beta, x is
+    beta - 2a and 2g is in S exactly when 2b <= alpha; otherwise x is
+    2*beta - 2a and y = -2b < 0.  So 2g is in S exactly on the rectangle.
+    On it, 3g = (beta - 3a)*alpha + (2*alpha - 3b)*beta.  If 3a <= beta,
+    x is beta - 3a and y = 2*alpha - 3b >= alpha/2 > 0.  Otherwise
+    beta < 3a <= 3*beta/2, so x is 2*beta - 3a and y = alpha - 3b, which is
+    nonnegative exactly when 3b <= alpha.  `fundamental_gaps` stays the scan
+    these cells are tested against.
+    """
+    ra, rb = T.beta // 2, T.alpha // 2
+    return {(a, b) for a in range(1, ra + 1) for b in range(1, rb + 1)
+            if 3 * a <= T.beta or 3 * b <= T.alpha}
+
+
+def _fundamental_count(T: TwoGen) -> int:
+    """|FG| of <alpha, beta>: (beta//3)(alpha//2) + (beta//2)(alpha//3) -
+    (beta//3)(alpha//3).
+
+    Counts `fundamental_cells` by inclusion and exclusion.  Every cell of the
+    rectangle a <= beta // 2, b <= alpha // 2 is a gap cell: a*alpha + b*beta
+    <= alpha*beta, with equality only when alpha and beta are both even,
+    which coprimality excludes.  The rectangle has beta//3 columns with
+    3a <= beta and alpha//3 rows with 3b <= alpha.
+    """
+    a, b = T.alpha, T.beta
+    return (b // 3) * (a // 2) + (b // 2) * (a // 3) - (b // 3) * (a // 3)
 
 
 def divisor_closure(values) -> set:
@@ -80,19 +115,24 @@ class RedChecks:
         return self.double_in_semigroup == self.in_rectangle == self.wilf_nonpositive
 
 
-def red_equivalence(T: TwoGen, g: int) -> RedChecks:
-    a, b = T.gap_to_lattice(g)
+def red_equivalence(T: TwoGen, g: int, d=None) -> RedChecks:
+    """The three red predicates of the gap g; d is the module [0, g], built
+    by `_gap_module` with g's cell, when the caller has it."""
     S = T.semigroup()
+    if d is None:
+        d = _gap_module(S, g, T.gap_to_lattice(g))
+    a, b = d.cells[0]
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),
         in_rectangle=(1 <= a <= T.beta // 2 and 1 <= b <= T.alpha // 2),
-        wilf_nonpositive=(wilf_gap(S, g) <= 0),
+        wilf_nonpositive=(d.wilf <= 0),
     )
 
 
 @dataclass(frozen=True)
 class CountComparison:
-    """|SG u SSG| against |FG|, with the closed count for multiplicity 2."""
+    """|SG u SSG| against |FG|, with the closed count of `_fundamental_count`
+    for multiplicity 2."""
 
     sg_ssg: int
     fg: int
@@ -103,13 +143,9 @@ class CountComparison:
 def compare_counts(T: TwoGen) -> CountComparison:
     fg = fundamental_gaps(T.semigroup())
     n_sym = _symmetric_count(T)
-    formula = None
-    if T.alpha == 2:
-        b = T.beta
-        formula = (b - 1) // 2 - (-(-(b - 3) // 6))
     return CountComparison(
         sg_ssg=n_sym,
         fg=len(fg.gaps),
         inequality_holds=n_sym <= len(fg.gaps),
-        alpha2_fg_formula=formula,
+        alpha2_fg_formula=_fundamental_count(T) if T.alpha == 2 else None,
     )

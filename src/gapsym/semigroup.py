@@ -51,7 +51,7 @@ class NumericalSemigroup:
         self._table = table
         self._gapmask = gapmask
         self._twogen = None
-        self.generators = tuple(_peel(table & ~1, table, full))
+        self.generators = tuple(_bits(_minimal(table & ~1, gens)))
 
     @classmethod
     def _from_sieve(cls, generators, conductor, gaps, table, nbits):
@@ -132,20 +132,20 @@ def _bits(mask: int):
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
-def _peel(mask: int, table: int, full: int):
-    """Minimal generators of the members in mask, ascending, where table is
-    the membership mask of the semigroup acting on them.
+def _minimal(mask: int, gens) -> int:
+    """The minimal members of mask, as a mask: those not of the form y + s
+    with y in mask and s a nonzero element of <gens>.
 
-    The lowest member left is minimal; clearing its shifted copy of the
-    semigroup, (table << h) & full, leaves only members that are not sums of
-    a generator already taken and a semigroup element.
+    mask must be closed under adding <gens> within its width.  Then a member
+    x is y + s with s != 0 exactly when some x - g, g in gens, is a member:
+    if x = y + s, write s = g + s' with s' in <gens>, and x - g = y + s' is a
+    member, being below x; conversely x = (x - g) + g.  So the minimal
+    members are mask & ~(mask << g) over every g in gens.
     """
-    out = []
-    while mask:
-        h = (mask & -mask).bit_length() - 1
-        out.append(h)
-        mask &= ~((table << h) & full)
-    return out
+    shifted = 0
+    for g in gens:
+        shifted |= mask << g
+    return mask & ~shifted
 
 
 def make_semigroup(generators) -> NumericalSemigroup:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
-from .semigroup import NumericalSemigroup, _bits, _peel
+from .semigroup import NumericalSemigroup, _bits, _minimal
 
 
 class GammaSemimodule:
@@ -37,8 +37,9 @@ class GammaSemimodule:
         self._path = None
         c = base.conductor
         full = (1 << c) - 1
-        table = base.member_mask(c)
+        table = base._table
         mask = 0
+        # the table runs past c; its bits there shift out of full
         for g in self.min_generators:
             mask |= (table << g) & full
         self._mask = mask
@@ -102,14 +103,16 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
         raise EmptyInput("need at least one generator")
     base = min(generators)
     # Normalized generators at or above the conductor lie in 0 + S, so the
-    # kept 0 makes them redundant; the rest are peeled as one bitmask.
+    # kept 0 makes them redundant; the module below n is closed under S, and
+    # its minimal members are the minimal generators.
     n = max(S.conductor, 1)
-    vmask = 0
+    table = S._table
+    mask = 0
     for g in generators:
         x = g - base
         if x < n:
-            vmask |= 1 << x
-    keep = _peel(vmask, S.member_mask(n), (1 << n) - 1)
+            mask |= table << x
+    keep = _bits(_minimal(mask & ((1 << n) - 1), S.generators))
     cells = None
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
@@ -140,13 +143,21 @@ def is_lean(S: NumericalSemigroup, values) -> bool:
 
 
 def syzygy_generators(delta: GammaSemimodule):
-    """Minimal generators of the union of pairwise intersections (G+g_i) n (G+g_j).
+    """Minimal generators of the union of pairwise intersections (G+g_i) n (G+g_j),
+    ascending."""
+    return _bits(_syzygy_mask(delta))
 
-    The scan covers [0, c(S) + m(S) + max(D)), m(S) the multiplicity, and no
-    minimal generator lies beyond it: for x >= max(D) + c(S) + m(S), x - m(S)
-    - g >= c(S) for every generator g of D, so x - m(S) lies in every
-    intersection and x = (x - m(S)) + m(S) is not minimal.  The width is
-    tight: for <2, 3> and D = {0, 1} the generators are 3 and 4.
+
+def _syzygy_mask(delta: GammaSemimodule) -> int:
+    """Minimal generators of the syzygy module, as a mask.
+
+    The union of the pairwise intersections is closed under S, so `_minimal`
+    applies within the scan.  The scan covers [0, c(S) + m(S) + max(D)), m(S)
+    the multiplicity, and no minimal generator lies beyond it: for x >=
+    max(D) + c(S) + m(S), x - m(S) - g >= c(S) for every generator g of D, so
+    x - m(S) lies in every intersection and x = (x - m(S)) + m(S) is not
+    minimal.  The width is tight: for <2, 3> and D = {0, 1} the generators
+    are 3 and 4.
     """
     if delta.ed < 2:
         raise PrincipalModule("syzygies need at least two generators")
@@ -158,7 +169,7 @@ def syzygy_generators(delta: GammaSemimodule):
     mask = 0
     for mi, mj in combinations(shifted, 2):
         mask |= mi & mj
-    return _peel(mask, table, full)
+    return _minimal(mask, S.generators)
 
 
 def syzygy(delta: GammaSemimodule) -> GammaSemimodule:
@@ -179,8 +190,14 @@ def dual_generators(delta: GammaSemimodule):
 
 
 def _dual_generators_scan(delta: GammaSemimodule):
-    """Minimal generators of the dual by a direct scan of [0, c(S) + m(S)).
+    """Minimal generators of the dual by a direct scan, ascending."""
+    return _bits(_dual_mask(delta))
 
+
+def _dual_mask(delta: GammaSemimodule) -> int:
+    """Minimal generators of the dual, as a mask, by a scan of [0, c(S) + m(S)).
+
+    The dual is closed under S, so `_minimal` applies within the scan.
     Every x >= c(S) has x + D inside S, so for x >= c(S) + m(S) the dual
     holds x - m(S) and x = (x - m(S)) + m(S) is not minimal.  The width is
     tight: for <2, 3> and D = {0, 1} the generators are 2 and 3.
@@ -188,11 +205,10 @@ def _dual_generators_scan(delta: GammaSemimodule):
     S = delta.base
     nbits = S.conductor + S.multiplicity
     table = S.member_mask(nbits + max(delta.min_generators))
-    full = (1 << nbits) - 1
-    mask = full
+    mask = (1 << nbits) - 1
     for g in delta.min_generators:
         mask &= table >> g
-    return _peel(mask, table, full)
+    return _minimal(mask, S.generators)
 
 
 def dual(delta: GammaSemimodule) -> GammaSemimodule:
@@ -271,35 +287,40 @@ def delta_formula(delta: GammaSemimodule) -> int:
     return sm_conductor_formula(delta) - S.delta + area
 
 
-def _is_translate(gens, delta: GammaSemimodule) -> bool:
-    # gens are minimal generators, ascending (the output of _peel); a shift
-    # keeps them minimal, so normalizing them is subtracting gens[0].
-    return {x - gens[0] for x in gens} == set(delta.min_generators)
+def _is_translate(mins: int, delta: GammaSemimodule) -> bool:
+    # mins holds minimal generators; a shift keeps them minimal, so they
+    # generate a translate of delta exactly when they are its generators
+    # shifted up by the least of them, mins & -mins as a power of two.
+    genmask = 0
+    for g in delta.min_generators:
+        genmask |= 1 << g
+    return mins == genmask * (mins & -mins)
 
 
 def is_fixed_point(delta: GammaSemimodule) -> bool:
     """Whether the normalized syzygy module has the same minimal generators.
 
-    Compares {s - s0 : s in syzygy_generators(delta)}, s0 the least, with the
-    generators as sets.  The scanned generators are minimal and stay minimal
-    under the shift, so the left side is the generating set of the normalized
-    syzygy module without building that module.
+    Compares the mask of the scanned syzygy generators (`_syzygy_mask`) with
+    the mask of the generators shifted up by the least syzygy generator s0.
+    The scanned generators are minimal and stay minimal under the shift by
+    -s0, so they are the generators of the normalized syzygy module, which
+    is never built.
     """
     if delta.ed < 2:
         raise PrincipalModule("fixed points are defined via the syzygy module")
-    return _is_translate(syzygy_generators(delta), delta)
+    return _is_translate(_syzygy_mask(delta), delta)
 
 
 def is_selfdual(delta: GammaSemimodule) -> bool:
     """Whether the dual is a translate of the module itself.
 
-    Always evaluated through the direct dual scan so that it stays an
-    independent cross-check of the closed-form dual generators.  As in
-    `is_fixed_point`, the scanned generators shifted by their least one are
-    compared with the generators as sets: a shift keeps them minimal, so the
-    left side is the generating set of the normalized dual module.
+    Always evaluated through the direct dual scan (`_dual_mask`) so that it
+    stays an independent cross-check of the closed-form dual generators.  As
+    in `is_fixed_point`, the mask of the scanned generators is compared with
+    the mask of the generators shifted up by the least of them: a shift keeps
+    them minimal, so they are the generators of the normalized dual module.
     """
-    return _is_translate(_dual_generators_scan(delta), delta)
+    return _is_translate(_dual_mask(delta), delta)
 
 
 def is_symmetric_sm(delta: GammaSemimodule) -> bool:
@@ -308,7 +329,9 @@ def is_symmetric_sm(delta: GammaSemimodule) -> bool:
     if cd == 0:
         return True
     m = delta._mask & ((1 << cd) - 1)
-    rev = int(f"{m:0{cd}b}"[::-1], 2)
+    # the leading 1 keeps m's cd digits, leading zeros too; the slice drops
+    # it with the "0b" prefix and reverses the rest
+    rev = int(bin(m | 1 << cd)[:2:-1], 2)
     return m == ~rev & ((1 << cd) - 1)
 
 

@@ -331,11 +331,13 @@ def infer_semigroup(values, max_beta: int):
 
 @dataclass(frozen=True)
 class CardinalityReport:
-    """Printed-sum cardinalities next to direct cell counts."""
+    """Printed-sum cardinalities next to direct cell counts, and the
+    corrected upper-triangle sum."""
 
     ssg_formula: int
     ssg_direct: int
     t_u_formula: int
+    t_u_corrected: int
     t_u_direct: int
     t_r_formula: int
     t_r_direct: int
@@ -350,7 +352,11 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
 
     The right-triangle sum clamps negative terms at zero; the upper-triangle
     sum is evaluated as printed, which undercounts for odd alpha, so `agree`
-    is reported rather than asserted.
+    is reported rather than asserted.  The corrected upper-triangle sum runs
+    j up to ceil(alpha/2) - 1 instead of alpha//2 - 1: row b of T_u holds
+    floor((alpha - b)*beta/alpha) cells for alpha//2 < b < alpha, that is
+    floor(j*beta/alpha) with j = alpha - b, which runs from 1 to
+    ceil(alpha/2) - 1.
     """
     a, b = T.alpha, T.beta
     if a % 2 == 1 and b % 2 == 1:
@@ -360,6 +366,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     else:
         ssg_formula = (a - 1) // 2
     t_u_formula = sum(j * b // a for j in range(1, a // 2))
+    t_u_corrected = sum(j * b // a for j in range(1, (a + 1) // 2))
     h = a // 2 + 1 if a % 2 == 0 else a // 2
     t_r_formula = sum(max(0, j * b // a - b // 2) for j in range(h, a))
     t_u, t_r, ssg = _block_counts(T)
@@ -374,6 +381,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
         ssg_formula=ssg_formula,
         ssg_direct=ssg,
         t_u_formula=t_u_formula,
+        t_u_corrected=t_u_corrected,
         t_u_direct=t_u,
         t_r_formula=t_r_formula,
         t_r_direct=t_r,

@@ -86,11 +86,14 @@ class ZeroWilfChecks:
         return self.wilf_zero and self.on_half_line and self.fixed_point and self.selfdual and self.symmetric
 
 
-def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
-    """Evaluate all five predicates for the module [0, g] independently."""
-    cell = T.gap_to_lattice(g)
-    a, b = cell
-    d = _gap_module(T.semigroup(), g, cell)
+def zero_wilf_equivalences(T: TwoGen, g: int, d=None) -> ZeroWilfChecks:
+    """Evaluate all five predicates for the module [0, g] independently.
+
+    d is that module, built by `_gap_module` with g's cell, when the caller
+    has it; otherwise it is built here."""
+    if d is None:
+        d = _gap_module(T.semigroup(), g, T.gap_to_lattice(g))
+    a, b = d.cells[0]
     return ZeroWilfChecks(
         wilf_zero=(d.wilf == 0),
         on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapsym import InconsistentInput, TwoGen, fundamental, survey, symmetry, wilf
+from gapsym import InconsistentInput, RedChecks, TwoGen, fundamental, survey, symmetry, wilf
 from gapsym.cli import _json_text, main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, coprime_pairs, run_survey
@@ -350,6 +350,12 @@ def _drop_first_cell(triangle):
         ("partition", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
         ("reconstruct", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
         ("equifix", wilf, "is_fixed_point", lambda d: True),
+        ("equifix", wilf, "is_selfdual", lambda d: True),
+        ("equifix", wilf, "is_symmetric_sm", lambda d: True),
+        ("red", survey, "red_equivalence", lambda T, g, d=None: RedChecks(True, False, True)),
+        ("cardinality", survey, "card_formulas",
+         lambda T: dataclasses.replace(symmetry.card_formulas(T), t_u_corrected=-1)),
+        ("uff", survey, "_fundamental_count", lambda T: -1),
     ],
 )
 def test_survey_violation_exits_1(monkeypatch, capsys, check, owner, name, fake):

@@ -7,6 +7,7 @@ from gapsym import (
     XNotInGaps,
     compare_counts,
     divisor_closure,
+    fundamental_cells,
     fundamental_gaps,
     h_determines,
     make_semigroup,
@@ -15,6 +16,7 @@ from gapsym import (
     zero_wilf_equivalences,
 )
 from gapsym.oracle import enumerate_semigroups_by_genus
+from gapsym.fundamental import _fundamental_count
 from gapsym.survey import coprime_pairs
 from gapsym.symmetry import _symmetric_count
 
@@ -133,6 +135,19 @@ def test_alpha2_fg_formula():
     for beta in range(3, 42, 2):
         cc = compare_counts(TwoGen(2, beta))
         assert cc.fg == cc.alpha2_fg_formula, beta
+
+
+def test_fundamental_cells_and_count_match_the_scan():
+    pairs = list(coprime_pairs(60))
+    assert len(pairs) == 1042
+    for alpha, beta in pairs:
+        T = TwoGen(alpha, beta)
+        scan = fundamental_gaps(T.semigroup()).gaps
+        cells = fundamental_cells(T)
+        assert sorted(T.value(a, b) for a, b in cells) == sorted(scan), (alpha, beta)
+        assert _fundamental_count(T) == len(cells) == len(scan), (alpha, beta)
+        cc = compare_counts(T)
+        assert cc.alpha2_fg_formula == (len(scan) if alpha == 2 else None), (alpha, beta)
 
 
 def test_alpha2_count_inequality_holds_only_at_beta_3():

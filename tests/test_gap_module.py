@@ -5,11 +5,13 @@ read it against their definitions on the `make_semimodule` module."""
 from gapsym import (
     NumericalSemigroup,
     RedChecks,
+    TwoGen,
     ZeroWilfChecks,
     gap_conductor_partition,
     make_semimodule,
     red_equivalence,
     rectangle_cells,
+    survey,
     symmetry,
     syzygy,
     wilf,
@@ -18,7 +20,7 @@ from gapsym import (
     zero_wilf_survey_general,
 )
 from gapsym.semimodule import _dual_generators_scan, _gap_module
-from gapsym.survey import coprime_pairs
+from gapsym.survey import coprime_pairs, run_survey
 
 BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
 
@@ -67,11 +69,13 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
             assert with_cell.min_generators == ref.min_generators
             assert d.cells == with_cell.cells == ref.cells
             assert zero_wilf_equivalences(T, g) == _zero_wilf_by_definition(T, g, ref)
+            assert zero_wilf_equivalences(T, g, with_cell) == zero_wilf_equivalences(T, g)
             assert red_equivalence(T, g) == RedChecks(
                 double_in_semigroup=S.contains(2 * g),
                 in_rectangle=(T.cell_of(g) in rect),
                 wilf_nonpositive=(ref.ed * ref.delta - ref.conductor <= 0),
             )
+            assert red_equivalence(T, g, with_cell) == red_equivalence(T, g)
 
 
 def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
@@ -80,3 +84,18 @@ def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
     for mod in (symmetry, wilf):
         monkeypatch.setattr(mod, "_gap_module", lambda S, g, cell=None: make_semimodule(S, [0, g]))
     assert direct == [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
+
+
+def test_survey_builds_each_gap_module_once(monkeypatch):
+    # equifix, red and conductor-sym share one module [0, g] per (pair, gap)
+    built = []
+
+    def counted(S, g, cell=None):
+        built.append((S.generators, g))
+        return _gap_module(S, g, cell)
+
+    monkeypatch.setattr(survey, "_gap_module", counted)
+    results = run_survey(20)
+    assert all(not r.violations for r in results)
+    genera = sum(TwoGen(a, b).genus for a, b in coprime_pairs(20))
+    assert len(built) == len(set(built)) == genera

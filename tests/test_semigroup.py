@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gapsym import (
@@ -9,6 +11,7 @@ from gapsym import (
     gap_order_leq,
     make_semigroup,
 )
+from gapsym.semigroup import NumericalSemigroup, _bits, _minimal
 
 
 def test_make_semigroup_basic():
@@ -262,3 +265,54 @@ def test_bits_matches_naive_scan():
     ]
     for mask in masks:
         assert _bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def _closure(gens, width):
+    """Members of <gens> below width, by the quadratic recurrence."""
+    member = [True] + [False] * (width - 1)
+    for x in range(1, width):
+        member[x] = any(g <= x and member[x - g] for g in gens)
+    return {x for x in range(width) if member[x]}
+
+
+def _minimal_by_definition(members, elements):
+    # x is minimal when no x - s is a member for s in S minus {0}
+    return [x for x in sorted(members) if not any(s and x - s in members for s in elements)]
+
+
+MINIMAL_BASES = ([1], [2, 3], [4, 6, 13], [6, 9, 20], [7, 11, 13, 17])
+
+
+def test_minimal_matches_quadratic_definition_on_module_masks():
+    rng = random.Random(20201018)
+    for gens in MINIMAL_BASES:
+        S = NumericalSemigroup(gens)
+        for _ in range(150):
+            width = rng.randrange(1, S.conductor + 3 * max(gens) + 2)
+            elements = _closure(S.generators, width)
+            seeds = rng.sample(range(width), rng.randrange(1, min(width, 6) + 1))
+            members = {x + s for x in seeds for s in elements if x + s < width}
+            mask = sum(1 << x for x in members)
+            got = _bits(_minimal(mask, S.generators))
+            assert got == _minimal_by_definition(members, elements), (gens, width, seeds)
+
+
+def test_generators_are_minimal_for_redundant_input_lists():
+    rng = random.Random(20201019)
+    lists = [list(range(top + 1, 2 * top + 3)) for top in range(0, 30)]
+    lists += [[2, 3, 4, 5, 6], [4, 6, 13, 8, 10, 17, 19], [6, 9, 20, 12, 15, 26, 29, 40]]
+    for _ in range(200):
+        extra = [rng.randrange(1, 40) for _ in range(rng.randrange(1, 9))]
+        lists.append(extra + [rng.randrange(2, 9), 1 + 7 * rng.randrange(1, 5)])
+    checked = 0
+    for gens in lists:
+        try:
+            S = NumericalSemigroup(gens)
+        except GcdNotOne:
+            continue
+        elements = _closure(sorted(set(gens)), max(gens) + 1)
+        positive = elements - {0}
+        expected = [x for x in sorted(positive) if not any(x - s in positive for s in positive)]
+        assert list(S.generators) == expected, gens
+        checked += 1
+    assert checked > 150

@@ -338,6 +338,7 @@ def test_corrected_upper_triangle_sum():
         T = TwoGen(alpha, beta)
         corrected = sum(j * beta // alpha for j in range(1, -(-alpha // 2)))
         assert corrected == _block_counts(T)[0] == len(triangle_u(T)), (alpha, beta)
+        assert card_formulas(T).t_u_corrected == corrected, (alpha, beta)
 
 
 def test_gap_conductor_partition_78():
