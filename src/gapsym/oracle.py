@@ -121,16 +121,6 @@ def _semigroup_tree(gmax: int):
             sums |= (nonzero << s) & full
         return list(_bits(nonzero & ~sums))
 
-    def materialize(mask, frobenius, gens):
-        conductor = frobenius + 1
-        maxgen = max(gens)
-        need = conductor + maxgen + 2
-        table = mask & ((1 << need) - 1)
-        if need > nbits:
-            table |= ((1 << (need - nbits)) - 1) << nbits
-        gaps = _bits(~mask & ((1 << conductor) - 1)) if conductor > 0 else ()
-        return NumericalSemigroup._from_sieve(gens, conductor, gaps, table, need)
-
     levels = [[(full, -1, (1,))]]
     for _ in range(gmax):
         nxt = []
@@ -145,7 +135,8 @@ def _semigroup_tree(gmax: int):
     out = []
     for level in levels:
         for mask, frob, gens in level:
-            out.append(materialize(mask, frob, gens) if frob >= 0 else NumericalSemigroup([1]))
+            # every bit from the conductor frob + 1 up is a member
+            out.append(NumericalSemigroup._from_sieve(gens, mask | -(1 << (frob + 1))))
     return tuple(out)
 
 
@@ -174,9 +165,10 @@ def brute_h_determines(values, gmax: int):
     for S in _semigroup_tree(gmax):
         if S.frobenius != top:
             continue
-        if xmask & ~S._gapmask:
+        if xmask & S._table:
             continue
-        if any(kept._gapmask & S._gapmask == kept._gapmask for kept in minimal):
+        gaps = ~S._table
+        if any(~kept._table & gaps == ~kept._table for kept in minimal):
             continue
         minimal.append(S)
     if not minimal:

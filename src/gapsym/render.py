@@ -11,7 +11,7 @@ coordinates, fixed ordering, no timestamps.
 from __future__ import annotations
 
 from .errors import InconsistentInput
-from .fundamental import fundamental_gaps
+from .fundamental import fundamental_cells
 from .semigroup import TwoGen
 from .symmetry import (
     _row_major,
@@ -68,8 +68,7 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
         el += _cell_rects(T, tu, _FILL["triangles"], "60%")
         el += _cell_rects(T, tr, _FILL["triangles"], "60%")
     if "fg" in layers:
-        cells = {T.cell_of(g) for g in fundamental_gaps(T.semigroup()).gaps}
-        el += _cell_rects(T, cells, _FILL["fg"], "55%")
+        el += _cell_rects(T, fundamental_cells(T), _FILL["fg"], "55%")
     if "sg" in layers:
         _, sg = _smaller_triangle(tu, tr)
         el += _cell_rects(T, sg, _FILL["sg"], "70%")

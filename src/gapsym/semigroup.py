@@ -1,9 +1,10 @@
 """Numerical semigroups and the gap/lattice correspondence for two generators.
 
-A numerical semigroup is stored with a sieved membership table (an int used
-as a bitmask over [0, conductor + max generator]); membership queries beyond
-the table fall back to the conductor rule.  All values are immutable after
-construction.
+A numerical semigroup, and every semimodule over it, is cofinite, and its
+membership is stored as one unbounded int: bit x is set exactly when x is a
+member, and every bit from the conductor up is set.  The int is therefore
+negative, and its complement is the finite mask of the gaps.  All values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class NumericalSemigroup:
     conductor and Frobenius number are cached at construction.
     """
 
-    __slots__ = ("generators", "conductor", "frobenius", "gaps", "_table", "_nbits", "_gapmask", "_twogen")
+    __slots__ = ("generators", "conductor", "frobenius", "gaps", "_table", "_twogen")
 
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -43,38 +44,31 @@ class NumericalSemigroup:
                 table |= (table << step) & full
                 step <<= 1
 
-        gapmask = ~table & full
+        # every integer past the sieve is a member as well
+        self._set_table(table | ~full)
+        self.generators = tuple(_bits(_minimal(self._table & ~1, gens)))
+
+    @classmethod
+    def _from_sieve(cls, generators, table):
+        # Trusted fast path for the genus-tree enumerator: the generators and
+        # the membership int are taken as given, no re-sieving.
+        self = cls.__new__(cls)
+        self._set_table(table)
+        self.generators = tuple(generators)
+        return self
+
+    def _set_table(self, table):
+        # the conductor and gaps are read off the finite gap mask ~table
+        gapmask = ~table
         self.conductor = gapmask.bit_length()
         self.frobenius = self.conductor - 1
         self.gaps = tuple(_bits(gapmask))
-        self._nbits = nbits
         self._table = table
-        self._gapmask = gapmask
         self._twogen = None
-        self.generators = tuple(_bits(_minimal(table & ~1, gens)))
-
-    @classmethod
-    def _from_sieve(cls, generators, conductor, gaps, table, nbits):
-        # Trusted fast path for the genus-tree enumerator: fields are taken
-        # as given, no re-sieving.
-        self = cls.__new__(cls)
-        self.generators = tuple(generators)
-        self.conductor = conductor
-        self.frobenius = conductor - 1
-        self.gaps = tuple(gaps)
-        self._table = table
-        self._nbits = nbits
-        self._gapmask = ~table & ((1 << nbits) - 1)
-        self._twogen = None
-        return self
 
     def contains(self, x: int) -> bool:
         """Whether x is a nonnegative integer combination of the generators."""
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return bool((self._table >> x) & 1)
+        return x >= 0 and (self._table >> x) & 1 == 1
 
     __contains__ = contains
 
@@ -92,12 +86,8 @@ class NumericalSemigroup:
         return self.generators[0]
 
     def member_mask(self, nbits: int) -> int:
-        """Membership bitmask covering [0, nbits); extends the table by the
-        conductor rule when nbits exceeds the sieve."""
-        if nbits <= self._nbits:
-            return self._table & ((1 << nbits) - 1)
-        ext = ((1 << (nbits - self._nbits)) - 1) << self._nbits
-        return self._table | ext
+        """Membership bitmask covering [0, nbits)."""
+        return self._table & ((1 << nbits) - 1)
 
     def two_gen(self) -> "TwoGen":
         if len(self.generators) != 2:
@@ -118,17 +108,24 @@ class NumericalSemigroup:
 
 
 def _sieve_width(gens) -> int:
-    """Bits of the membership table for the positive generators gens.
+    """Bits the sieve of the positive generators gens runs over.
 
     Schur bound: Frobenius <= (m-1)(big-1) - 1, so conductor <= (m-1)(big-1);
-    the table also covers one largest generator past it.
+    the sieve also covers one largest generator past it.  The membership int
+    sets every bit from this width up, so the minimal generators do not need
+    that headroom; it stays because the CLI's MAX_SIEVE_BITS limit is defined
+    on this width.
     """
     m, big = min(gens), max(gens)
     return (m - 1) * (big - 1) + big + 2
 
 
 def _bits(mask: int):
-    """Positions of the set bits of a nonnegative mask, ascending."""
+    """Positions of the set bits of a nonnegative mask, ascending.
+
+    A membership int is negative and must not be passed: bin() of a negative
+    int lists the bits of its absolute value.
+    """
     return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
@@ -136,11 +133,13 @@ def _minimal(mask: int, gens) -> int:
     """The minimal members of mask, as a mask: those not of the form y + s
     with y in mask and s a nonzero element of <gens>.
 
-    mask must be closed under adding <gens> within its width.  Then a member
-    x is y + s with s != 0 exactly when some x - g, g in gens, is a member:
-    if x = y + s, write s = g + s' with s' in <gens>, and x - g = y + s' is a
-    member, being below x; conversely x = (x - g) + g.  So the minimal
-    members are mask & ~(mask << g) over every g in gens.
+    mask must be closed under adding <gens>.  Then a member x is y + s with
+    s != 0 exactly when some x - g, g in gens, is a member: if x = y + s,
+    write s = g + s' with s' in <gens>, and x - g = y + s' is a member;
+    conversely x = (x - g) + g.  So the minimal members are mask &
+    ~(mask << g) over every g in gens.  When every bit of mask from some N up
+    is set, as in a membership int, no x >= N + g is minimal, so the result
+    is a finite mask.
     """
     shifted = 0
     for g in gens:

@@ -35,21 +35,19 @@ class GammaSemimodule:
         self.min_generators = tuple(min_generators)
         self._cells = cells
         self._path = None
-        c = base.conductor
-        full = (1 << c) - 1
         table = base._table
         mask = 0
-        # the table runs past c; its bits there shift out of full
         for g in self.min_generators:
-            mask |= (table << g) & full
+            mask |= table << g
         self._mask = mask
-        self.conductor = (~mask & full).bit_length()
-        self.delta = (mask & ((1 << self.conductor) - 1)).bit_count()
+        gaps = ~mask
+        self.conductor = gaps.bit_length()
+        self.delta = self.conductor - gaps.bit_count()
 
     @property
     def gap_list(self):
         """Naturals missing from the module, ascending."""
-        return tuple(_bits(~self._mask & ((1 << self.conductor) - 1)))
+        return tuple(_bits(~self._mask))
 
     @property
     def ed(self) -> int:
@@ -62,11 +60,7 @@ class GammaSemimodule:
         return self.ed * self.delta - self.conductor
 
     def member(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x >= self.base.conductor:
-            return True
-        return bool((self._mask >> x) & 1)
+        return x >= 0 and (self._mask >> x) & 1 == 1
 
     __contains__ = member
 
@@ -103,16 +97,16 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
         raise EmptyInput("need at least one generator")
     base = min(generators)
     # Normalized generators at or above the conductor lie in 0 + S, so the
-    # kept 0 makes them redundant; the module below n is closed under S, and
-    # its minimal members are the minimal generators.
-    n = max(S.conductor, 1)
+    # kept 0 makes them redundant and they are never shifted; 0 is kept even
+    # when the conductor is 0.
+    c = S.conductor
     table = S._table
-    mask = 0
+    mask = table
     for g in generators:
         x = g - base
-        if x < n:
+        if x < c:
             mask |= table << x
-    keep = _bits(_minimal(mask & ((1 << n) - 1), S.generators))
+    keep = _bits(_minimal(mask, S.generators))
     cells = None
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
@@ -152,20 +146,12 @@ def _syzygy_mask(delta: GammaSemimodule) -> int:
     """Minimal generators of the syzygy module, as a mask.
 
     The union of the pairwise intersections is closed under S, so `_minimal`
-    applies within the scan.  The scan covers [0, c(S) + m(S) + max(D)), m(S)
-    the multiplicity, and no minimal generator lies beyond it: for x >=
-    max(D) + c(S) + m(S), x - m(S) - g >= c(S) for every generator g of D, so
-    x - m(S) lies in every intersection and x = (x - m(S)) + m(S) is not
-    minimal.  The width is tight: for <2, 3> and D = {0, 1} the generators
-    are 3 and 4.
+    applies to it.
     """
     if delta.ed < 2:
         raise PrincipalModule("syzygies need at least two generators")
     S = delta.base
-    nbits = S.conductor + S.multiplicity + max(delta.min_generators)
-    table = S.member_mask(nbits)
-    full = (1 << nbits) - 1
-    shifted = [(table << g) & full for g in delta.min_generators]
+    shifted = [S._table << g for g in delta.min_generators]
     mask = 0
     for mi, mj in combinations(shifted, 2):
         mask |= mi & mj
@@ -195,19 +181,15 @@ def _dual_generators_scan(delta: GammaSemimodule):
 
 
 def _dual_mask(delta: GammaSemimodule) -> int:
-    """Minimal generators of the dual, as a mask, by a scan of [0, c(S) + m(S)).
+    """Minimal generators of the dual, as a mask.
 
-    The dual is closed under S, so `_minimal` applies within the scan.
-    Every x >= c(S) has x + D inside S, so for x >= c(S) + m(S) the dual
-    holds x - m(S) and x = (x - m(S)) + m(S) is not minimal.  The width is
-    tight: for <2, 3> and D = {0, 1} the generators are 2 and 3.
+    Bit x of S's membership int shifted down by g says whether x + g is in
+    S.  The dual is closed under S, so `_minimal` applies to it.
     """
     S = delta.base
-    nbits = S.conductor + S.multiplicity
-    table = S.member_mask(nbits + max(delta.min_generators))
-    mask = (1 << nbits) - 1
+    mask = -1
     for g in delta.min_generators:
-        mask &= table >> g
+        mask &= S._table >> g
     return _minimal(mask, S.generators)
 
 
@@ -343,13 +325,17 @@ class PicardOrbit:
     cycle_length: int | None
 
 
-def picard_orbit(delta: GammaSemimodule, max_steps: int = 64) -> PicardOrbit:
+# syzygy steps `picard_orbit` takes before it gives up on finding a repeat
+PICARD_MAX_STEPS = 64
+
+
+def picard_orbit(delta: GammaSemimodule) -> PicardOrbit:
     if delta.ed < 2:
         raise PrincipalModule("orbit iteration needs the syzygy module")
     states = [delta.min_generators]
     seen = {delta.min_generators: 0}
     cur = delta
-    for _ in range(max_steps):
+    for _ in range(PICARD_MAX_STEPS):
         if cur.ed < 2:
             return PicardOrbit(tuple(states), None)
         cur = syzygy(cur)

@@ -271,7 +271,10 @@ def _check_against_reference(S, table, generators):
     bits, conductor, delta, gaps, symmetric = _reference_scan(S, table, keep)
     d = make_semimodule(S, generators)
     assert d.min_generators == keep
-    assert d._mask == int(bits[::-1] or "0", 2)
+    # the mask matches the reference below c(S) and is all members above
+    low = (1 << len(bits)) - 1
+    assert d._mask & low == int(bits[::-1] or "0", 2)
+    assert d._mask | low == -1
     assert (d.conductor, d.delta, d.gap_list) == (conductor, delta, gaps)
     assert is_symmetric_sm(d) == symmetric
     # member() reads the mask checked above; probe it where it switches

@@ -192,6 +192,17 @@ def test_only_output_writes_json():
     assert found == []
 
 
+def test_member_mask_is_read_only_by_the_oracle():
+    # membership is an unbounded int; only the brute scans cut it to a width
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "oracle.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "member_mask"
+    ]
+    assert found == []
+
+
 def test_perfbench_traced_methods_exist():
     # perfbench/tracing.py patches methods by name; tier-1 never imports it,
     # so a renamed or deleted method would only show in a traced benchmark run
