@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
@@ -103,16 +104,18 @@ def h_determines(S: NumericalSemigroup, values) -> bool:
     return set(fundamental_gaps(S).gaps) <= xs
 
 
-@dataclass(frozen=True)
-class RedChecks:
-    """Three equivalent ways to say a gap doubles into the semigroup."""
+class RedChecks(NamedTuple):
+    """Three equivalent ways to say a gap doubles into the semigroup.
+
+    An immutable tuple of the three flags, in field order; it compares equal
+    to a plain tuple of the same values."""
 
     double_in_semigroup: bool
     in_rectangle: bool
     wilf_nonpositive: bool
 
     def all_agree(self) -> bool:
-        return self.double_in_semigroup == self.in_rectangle == self.wilf_nonpositive
+        return len(set(self)) == 1
 
 
 def red_equivalence(T: TwoGen, g: int, d=None) -> RedChecks:

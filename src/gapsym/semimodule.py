@@ -145,16 +145,20 @@ def syzygy_generators(delta: GammaSemimodule):
 def _syzygy_mask(delta: GammaSemimodule) -> int:
     """Minimal generators of the syzygy module, as a mask.
 
-    The union of the pairwise intersections is closed under S, so `_minimal`
-    applies to it.
+    The union of the pairwise intersections (S+g_i) n (S+g_j), i < j, is the
+    union over j of (S+g_j) n (the union of S+g_i over i < j), so one running
+    OR of the earlier shifts takes ed intersections instead of ed(ed-1)/2.
+    The union is closed under S, so `_minimal` applies to it.
     """
     if delta.ed < 2:
         raise PrincipalModule("syzygies need at least two generators")
     S = delta.base
-    shifted = [S._table << g for g in delta.min_generators]
-    mask = 0
-    for mi, mj in combinations(shifted, 2):
-        mask |= mi & mj
+    table = S._table
+    seen = mask = 0
+    for g in delta.min_generators:
+        shifted = table << g
+        mask |= shifted & seen
+        seen |= shifted
     return _minimal(mask, S.generators)
 
 

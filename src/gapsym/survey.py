@@ -4,10 +4,11 @@ Each check replays one structural fact on one pair and yields unlabeled
 `(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
 labels each with its pair, files it, and builds at most one partition per
 pair, when a check first calls `blocks()`; a failed build is kept and
-raised again to each later caller.  Likewise it builds the module [0, g]
-of each gap at most once per pair, when a check first calls `module(a, b)`
-for g's cell.  The known printed-sum undercount for the upper triangle at
-odd alpha is downgraded to a warning.
+raised again to each later caller.  Likewise the first check on a pair
+that calls `modules()` builds the module [0, g] of every gap of the pair,
+in one walk of its gap cells, and later checks read the same table; a pair
+whose checks never call it builds no module.  The known printed-sum
+undercount for the upper triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def coprime_pairs(max_beta: int):
                 yield alpha, beta
 
 
-def _check_partition(T, blocks, module):
+def _check_partition(T, blocks, modules):
     if sum(blocks().block_sizes()) != T.genus:
         yield "violations", "block sizes miss the genus"
     S = T.semigroup()
@@ -53,7 +54,7 @@ def _check_partition(T, blocks, module):
             yield "violations", f"gap {g} rectangle mismatch"
 
 
-def _check_reconstruct(T, blocks, module):
+def _check_reconstruct(T, blocks, modules):
     part = blocks()
     side, sg = _smaller_triangle(part.t_u, part.t_r)
     got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, part.ssg)
@@ -61,14 +62,15 @@ def _check_reconstruct(T, blocks, module):
         yield "violations", "reconstruction differs"
 
 
-def _check_per_gap(T, module, predicates):
-    for a, b, g in T.walk():
-        checks = predicates(T, g, module(a, b))
+def _check_per_gap(T, modules, predicates):
+    for d in modules().values():
+        g = d.min_generators[1]
+        checks = predicates(T, g, d)
         if not checks.all_agree():
             yield "violations", f"gap {g}: {checks}"
 
 
-def _check_uff(T, blocks, module):
+def _check_uff(T, blocks, modules):
     cc = compare_counts(T)
     fg_count = _fundamental_count(T)
     if fg_count != cc.fg:
@@ -82,7 +84,7 @@ def _check_uff(T, blocks, module):
         yield "violations", f"|SG u SSG|={cc.sg_ssg} > |FG|={cc.fg}"
 
 
-def _check_cardinality(T, blocks, module):
+def _check_cardinality(T, blocks, modules):
     rep = card_formulas(T)
     if rep.ssg_formula != rep.ssg_direct:
         yield "violations", f"SSG formula {rep.ssg_formula} != {rep.ssg_direct}"
@@ -93,14 +95,16 @@ def _check_cardinality(T, blocks, module):
             yield "warnings", w
 
 
-def _check_conductor_sym(T, blocks, module):
+def _check_conductor_sym(T, blocks, modules):
     c = T.semigroup().conductor
     part = blocks()
+    table = modules()
 
     def cond(a, b):
         # a cell off the gap lattice has no gap, so no module [0, g]: None
         # matches no expected conductor
-        return module(a, b).conductor if T.in_lattice(a, b) else None
+        d = table.get((a, b))
+        return None if d is None else d.conductor
 
     for a, b in part.t_u:
         expected = c - a * T.alpha
@@ -131,18 +135,20 @@ def _partition_once(T):
 
 
 def _modules_once(T):
-    """A callable that returns the module [0, g] of the gap at the cell
-    (a, b), building it on the first call for that cell."""
+    """A callable that returns the table of T's gap modules: a dict from the
+    cell (a, b) of each gap g to the module [0, g], in the order of
+    `T.walk`.  The first call builds every module in one walk, which yields
+    each cell with its value; later calls return the same dict."""
     S = T.semigroup()
-    built = {}
+    table = None
 
-    def module(a, b):
-        d = built.get((a, b))
-        if d is None:
-            d = built[a, b] = _gap_module(S, T.value(a, b), (a, b))
-        return d
+    def modules():
+        nonlocal table
+        if table is None:
+            table = {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()}
+        return table
 
-    return module
+    return modules
 
 
 _CHECKS = {
@@ -150,8 +156,8 @@ _CHECKS = {
     "reconstruct": _check_reconstruct,
     # the predicates are looked up when a check runs, so a wrapper installed
     # over the module-level name later (perfbench's tracer) is the one called
-    "equifix": lambda T, blocks, module: _check_per_gap(T, module, zero_wilf_equivalences),
-    "red": lambda T, blocks, module: _check_per_gap(T, module, red_equivalence),
+    "equifix": lambda T, blocks, modules: _check_per_gap(T, modules, zero_wilf_equivalences),
+    "red": lambda T, blocks, modules: _check_per_gap(T, modules, red_equivalence),
     "uff": _check_uff,
     "cardinality": _check_cardinality,
     "conductor-sym": _check_conductor_sym,
@@ -175,13 +181,13 @@ def run_survey(max_beta: int, checks=("all",)):
     for alpha, beta in coprime_pairs(max_beta):
         T = NumericalSemigroup([alpha, beta]).two_gen()
         blocks = _partition_once(T)
-        module = _modules_once(T)
+        modules = _modules_once(T)
         label = f"({alpha},{beta}) "
         for name in names:
             res = results[name]
             res.pairs += 1
             try:
-                for kind, message in _CHECKS[name](T, blocks, module):
+                for kind, message in _CHECKS[name](T, blocks, modules):
                     getattr(res, kind).append(label + message)
             except GapsymError as exc:
                 res.violations.append(label + str(exc))

@@ -202,7 +202,9 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
         raise InconsistentInput(
             f"reconstruction puts {len(result - lg)} of its cells off the gap lattice"
         )
-    return cell_values(T, result)
+    # every cell is a gap cell, checked just above, so its value is the gap
+    p, x, y = T.product, T.alpha, T.beta
+    return sorted(p - a * x - b * y for a, b in result)
 
 
 def _corner_betas(alpha: int, top: int):
@@ -269,7 +271,21 @@ def _block_counts(T: TwoGen):
 
 def _symmetric_count(T: TwoGen) -> int:
     """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
-    `gap_partition` checks)."""
+    `gap_partition` checks).
+
+    For alpha >= 3 the count is at most |FG|, as the `uff` survey check
+    verifies pair by pair.  The reflected blocks tile the rectangle of
+    R = (alpha//2)(beta//2) cells, so |T_u| + |T_r| + |SSG| = R and the
+    count is R - max(|T_u|, |T_r|).  The rectangle cells that are not
+    fundamental are those with 3a > beta and 3b > alpha (`fundamental_cells`),
+    so |FG| = R - PQ with P = beta//2 - beta//3 and Q = alpha//2 - alpha//3.
+    The inequality is therefore max(|T_u|, |T_r|) >= PQ.
+
+    Conjecture (not proved): min(|T_u|, |T_r|) >= PQ.  It holds on all
+    26,949 coprime pairs with alpha >= 3 and beta <= 300.  Among them the
+    inequality |SG u SSG| <= |FG| is an equality only at <4, 5>, where
+    |T_u| = |T_r| = PQ = 1.
+    """
     t_u, t_r, ssg = _block_counts(T)
     return min(t_u, t_r) + ssg
 

@@ -9,6 +9,7 @@ of the two syzygy generators is smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotAGap
 from .semigroup import NumericalSemigroup, TwoGen
@@ -68,9 +69,11 @@ def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:
     )
 
 
-@dataclass(frozen=True)
-class ZeroWilfChecks:
-    """The five predicates that agree for gaps of two-generator semigroups."""
+class ZeroWilfChecks(NamedTuple):
+    """The five predicates that agree for gaps of two-generator semigroups.
+
+    An immutable tuple of the five flags, in field order; it compares equal
+    to a plain tuple of the same values."""
 
     wilf_zero: bool
     on_half_line: bool
@@ -79,11 +82,10 @@ class ZeroWilfChecks:
     symmetric: bool
 
     def all_agree(self) -> bool:
-        vals = (self.wilf_zero, self.on_half_line, self.fixed_point, self.selfdual, self.symmetric)
-        return len(set(vals)) == 1
+        return len(set(self)) == 1
 
     def all_true(self) -> bool:
-        return self.wilf_zero and self.on_half_line and self.fixed_point and self.selfdual and self.symmetric
+        return all(self)
 
 
 def zero_wilf_equivalences(T: TwoGen, g: int, d=None) -> ZeroWilfChecks:

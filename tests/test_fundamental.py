@@ -18,7 +18,7 @@ from gapsym import (
 from gapsym.oracle import enumerate_semigroups_by_genus
 from gapsym.fundamental import _fundamental_count
 from gapsym.survey import coprime_pairs
-from gapsym.symmetry import _symmetric_count
+from gapsym.symmetry import _block_counts, _symmetric_count
 
 EXPECTED_FG_813 = sorted(
     [83, 75, 67, 59, 51, 43, 70, 62, 54, 46, 38, 30, 57, 49, 41, 33, 44, 36, 28, 20]
@@ -129,6 +129,24 @@ def test_count_inequality_sweep():
         cc = compare_counts(TwoGen(alpha, beta))
         if alpha > 2 or (alpha, beta) == (2, 3):
             assert cc.inequality_holds, (alpha, beta)
+
+
+def test_block_counts_tile_the_rectangle_and_bound_the_fg_count():
+    # R = |T_u| + |T_r| + |SSG| and |FG| = R - PQ, so |SG u SSG| <= |FG|
+    # follows from min(|T_u|, |T_r|) >= PQ, the conjecture of `_symmetric_count`
+    pairs = 0
+    for alpha, beta in coprime_pairs(60):
+        if alpha < 3:
+            continue
+        T = TwoGen(alpha, beta)
+        t_u, t_r, ssg = _block_counts(T)
+        R = (alpha // 2) * (beta // 2)
+        PQ = (beta // 2 - beta // 3) * (alpha // 2 - alpha // 3)
+        assert t_u + t_r + ssg == R, (alpha, beta)
+        assert _fundamental_count(T) == R - PQ, (alpha, beta)
+        assert min(t_u, t_r) >= PQ, (alpha, beta)
+        pairs += 1
+    assert pairs == 1013
 
 
 def test_alpha2_fg_formula():

@@ -2,6 +2,8 @@
 same module built through `make_semimodule`, and the per-gap checks that
 read it against their definitions on the `make_semimodule` module."""
 
+import pytest
+
 from gapsym import (
     NumericalSemigroup,
     RedChecks,
@@ -86,8 +88,9 @@ def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
     assert direct == [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
 
 
-def test_survey_builds_each_gap_module_once(monkeypatch):
-    # equifix, red and conductor-sym share one module [0, g] per (pair, gap)
+def _survey_builds(monkeypatch, checks):
+    """The (generators, gap) of every module [0, g] `run_survey(20, checks)`
+    builds, in build order."""
     built = []
 
     def counted(S, g, cell=None):
@@ -95,7 +98,46 @@ def test_survey_builds_each_gap_module_once(monkeypatch):
         return _gap_module(S, g, cell)
 
     monkeypatch.setattr(survey, "_gap_module", counted)
-    results = run_survey(20)
+    results = run_survey(20, checks)
     assert all(not r.violations for r in results)
+    return built
+
+
+def test_survey_builds_each_gap_module_once(monkeypatch):
+    # equifix, red and conductor-sym share one module [0, g] per (pair, gap)
+    built = _survey_builds(monkeypatch, ("all",))
     genera = sum(TwoGen(a, b).genus for a, b in coprime_pairs(20))
     assert len(built) == len(set(built)) == genera
+
+
+@pytest.mark.parametrize("check", ["partition", "reconstruct", "uff", "cardinality"])
+def test_survey_checks_without_modules_build_none(monkeypatch, check):
+    assert _survey_builds(monkeypatch, (check,)) == []
+
+
+@pytest.mark.parametrize("check", ["equifix", "red", "conductor-sym"])
+def test_survey_check_alone_builds_every_gap_module_once(monkeypatch, check):
+    # the table holds every gap's module, so conductor-sym alone also builds
+    # the self-symmetric cells' modules, which it never reads
+    want = [((a, b), g) for a, b in coprime_pairs(20) for _, _, g in TwoGen(a, b).walk()]
+    assert _survey_builds(monkeypatch, (check,)) == want
+
+
+def test_check_records_are_immutable_tuples_with_fixed_fields():
+    zw = ZeroWilfChecks(symmetric=False, selfdual=False, fixed_point=True, on_half_line=False, wilf_zero=False)
+    red = RedChecks(wilf_nonpositive=True, in_rectangle=False, double_in_semigroup=True)
+    assert repr(zw) == (
+        "ZeroWilfChecks(wilf_zero=False, on_half_line=False, fixed_point=True, selfdual=False, symmetric=False)"
+    )
+    assert repr(red) == "RedChecks(double_in_semigroup=True, in_rectangle=False, wilf_nonpositive=True)"
+    for record in (zw, red):
+        for name in (*type(record)._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, True)
+        assert not record.all_agree()
+    # each field reads back by name, and a record equals the plain tuple of
+    # its flags in field order
+    flags = (False, False, True, False, False)
+    assert (zw.wilf_zero, zw.on_half_line, zw.fixed_point, zw.selfdual, zw.symmetric) == zw == flags
+    assert (red.double_in_semigroup, red.in_rectangle, red.wilf_nonpositive) == red == (True, False, True)
+    assert ZeroWilfChecks(*[True] * 5).all_agree() and RedChecks(False, False, False).all_agree()

@@ -23,7 +23,8 @@ from gapsym import (
     syzygy_generators,
 )
 from gapsym.oracle import brute_dual, enumerate_lean_sets
-from gapsym.semimodule import _dual_generators_scan
+from gapsym.semigroup import _bits, _minimal
+from gapsym.semimodule import PICARD_MAX_STEPS, _dual_generators_scan
 from gapsym.survey import coprime_pairs
 
 S57 = make_semigroup([5, 7])
@@ -174,6 +175,21 @@ def test_picard_orbit():
 
     with pytest.raises(PrincipalModule):
         picard_orbit(make_semimodule(S57, [0]))
+
+
+def test_large_ed_syzygies_and_orbit_cap():
+    # the multiples of 7 up to 6993 reduce over <400, 401> to a lean set of
+    # 229 generators, whose orbit finds no repeat within the step cap
+    S = make_semigroup([400, 401])
+    d = make_semimodule(S, list(range(0, 6994, 7)))
+    assert d.ed == 229
+    union = 0
+    for gi, gj in combinations(d.min_generators, 2):
+        union |= (S._table << gi) & (S._table << gj)
+    assert syzygy_generators(d) == _bits(_minimal(union, S.generators))
+    orbit = picard_orbit(d)
+    assert len(orbit.states) == PICARD_MAX_STEPS + 1 == 65
+    assert orbit.cycle_length is None
 
 
 def test_module_over_naturals_edge():
