@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
@@ -82,7 +83,9 @@ def _json_text(obj, indent=""):
     on any other type and on a non-str dict key, which `_json_str` rejects.
     Strings are escaped by `_json_str`, as with `ensure_ascii`.  Int and str
     leaves are written in the comprehensions, without a recursive call; for
-    an exact int, `f"{v}"` is `int.__repr__(v)`.
+    an exact int, `f"{v}"` is `int.__repr__(v)`.  A list of flat int rows,
+    such as `analyze`'s lattice records and cell pairs, is written by one `%`
+    template (`_int_rows_text`), without a call per row.
     """
     kind = type(obj)
     if kind is str:
@@ -106,12 +109,54 @@ def _json_text(obj, indent=""):
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
+        if type(obj[0]) in (dict, list, tuple):
+            text = _int_rows_text(obj, indent)
+            if text is not None:
+                return text
         parts = [
             f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner)
             for v in obj
         ]
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _int_rows_text(rows, indent):
+    """`_json_text(rows, indent)` for a list or tuple of flat int rows, else
+    None.
+
+    Flat int rows are all non-empty dicts with the same keys in the same
+    order, or all non-empty lists or tuples of the same length, and hold
+    only exact ints; bool and float fail the type test and are left to
+    `_json_text`.  The text of one row is built once, from the first row,
+    as a template of one `%d` per value (with any `%` in a key doubled),
+    and all the values are formatted into the repeated template at once;
+    `%d` of an exact int is `int.__repr__`.
+    """
+    first = rows[0]
+    kinds = set(map(type, rows))
+    if kinds == {dict}:
+        keys = list(first)
+        if list(chain.from_iterable(rows)) != keys * len(rows):
+            return None
+        values = tuple(chain.from_iterable(map(dict.values, rows)))
+        fields = [_json_str(k).replace("%", "%%") + ": %d" for k in keys]
+        brackets = "{}"
+    elif kinds <= {list, tuple}:
+        if set(map(len, rows)) != {len(first)}:
+            return None
+        values = tuple(chain.from_iterable(rows))
+        fields = ["%d"] * len(first)
+        brackets = "[]"
+    else:
+        return None
+    # empty rows hold no value, so this also leaves them to _json_text
+    if set(map(type, values)) != {int}:
+        return None
+    inner = indent + "  "
+    pad = "\n" + inner + "  "
+    row = brackets[0] + pad + ("," + pad).join(fields) + "\n" + inner + brackets[1]
+    return ("[\n" + inner + (",\n" + inner).join([row] * len(rows)) + "\n" + indent + "]") % values
 
 
 def _output(args, report, lines=None) -> str:
@@ -127,10 +172,10 @@ def _output(args, report, lines=None) -> str:
 def cmd_analyze(args):
     _check_width([args.alpha, args.beta])
     T = TwoGen(args.alpha, args.beta)
-    S = T.semigroup()
     if args.format == "svg":
         layers = args.layers.split(",") if args.layers else DEFAULT_LAYERS
         return render_svg(T, layers), 0
+    S = T.semigroup()
     part = gap_partition(T)
     side, sg = _smaller_triangle(part.t_u, part.t_r)
     ssg = part.ssg

@@ -14,7 +14,6 @@ from .errors import InconsistentInput
 from .fundamental import fundamental_cells
 from .semigroup import TwoGen
 from .symmetry import (
-    _row_major,
     _smaller_triangle,
     self_symmetric_gaps,
     triangle_r,
@@ -37,15 +36,14 @@ CELL = 40
 
 
 def _cell_rects(T: TwoGen, cells, color, opacity):
-    out = []
-    for a, b in _row_major(cells):
-        x = (a - 1) * CELL
-        y = (T.alpha - b) * CELL
-        out.append(
-            f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" '
-            f'fill="{color}" fill-opacity="{opacity}"/>'
-        )
-    return out
+    """One filled <rect> per cell, in the row-major order of `TwoGen.walk`."""
+    top = T.alpha * CELL
+    tail = f'" width="{CELL}" height="{CELL}" fill="{color}" fill-opacity="{opacity}"/>'
+    # sorting (-b, a) puts b descending, then a ascending; y = (alpha - b) * CELL
+    return [
+        f'<rect x="{(a - 1) * CELL}" y="{top + nb * CELL}{tail}'
+        for nb, a in sorted((-b, a) for a, b in cells)
+    ]
 
 
 def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
@@ -89,18 +87,22 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
     if "diagonal" in layers:
         el.append(f'<line x1="0" y1="0" x2="{width}" y2="{height}" stroke="black" stroke-width="2"/>')
     if "values" in layers or "wilf" in layers:
-        for a, b, value, w in wilf_grid(T):
-            x = (a - 1) * CELL
-            y = (T.alpha - b) * CELL
-            if "values" in layers:
-                el.append(
-                    f'<text x="{x + 3}" y="{y + CELL - 4}" font-size="12" '
-                    f'font-family="monospace">{value}</text>'
-                )
-            if "wilf" in layers:
-                el.append(
-                    f'<text x="{x + CELL - 3}" y="{y + 12}" font-size="10" '
-                    f'font-family="monospace" text-anchor="end">{w}</text>'
-                )
+        cells = wilf_grid(T)
+        labels = []
+        if "values" in layers:
+            labels.append([
+                f'<text x="{(a - 1) * CELL + 3}" y="{height - b * CELL + CELL - 4}" font-size="12" '
+                f'font-family="monospace">{value}</text>'
+                for a, b, value, _ in cells
+            ])
+        if "wilf" in layers:
+            labels.append([
+                f'<text x="{a * CELL - 3}" y="{height - b * CELL + 12}" font-size="10" '
+                f'font-family="monospace" text-anchor="end">{w}</text>'
+                for a, b, _, w in cells
+            ])
+        # one element per cell holding its labels, which the final join
+        # separates by newlines as if each were an element of its own
+        el += map("\n".join, zip(*labels))
     el.append("</svg>")
     return "\n".join(el) + "\n"

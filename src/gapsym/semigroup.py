@@ -212,10 +212,12 @@ class TwoGen:
         return a >= 1 and b >= 1 and self.value(a, b) > 0
 
     def lattice_to_gap(self, a: int, b: int) -> int:
-        """Gap value of the cell (a, b)."""
-        if not self.in_lattice(a, b):
-            raise OutOfTriangle(f"({a}, {b}) has value {self.value(a, b)}")
-        return self.value(a, b)
+        """Gap value of the cell (a, b); raises OutOfTriangle off the gap
+        lattice (a < 1, b < 1 or a value <= 0)."""
+        g = self.product - a * self.alpha - b * self.beta
+        if a < 1 or b < 1 or g <= 0:
+            raise OutOfTriangle(f"({a}, {b}) has value {g}")
+        return g
 
     def cell_of(self, g: int):
         """The unique cell (a, b) whose value is g, or None when g is not a gap."""

@@ -160,8 +160,17 @@ def gap_partition(T: TwoGen) -> GapPartition:
 
 
 def cell_values(T: TwoGen, cells):
-    """Sorted gap values of a cell set."""
-    return sorted(T.lattice_to_gap(a, b) for a, b in cells)
+    """Sorted gap values of a cell set.
+
+    Raises OutOfTriangle, as `TwoGen.lattice_to_gap` does, when a cell is
+    off the gap lattice: a < 1, b < 1 or a value <= 0.
+    """
+    p, x, y = T.product, T.alpha, T.beta
+    values = sorted([p - a * x - b * y for a, b in cells if a >= 1 and b >= 1])
+    if len(values) < len(cells) or values and values[0] <= 0:
+        for a, b in cells:
+            T.lattice_to_gap(a, b)  # raises at the first cell off the lattice
+    return values
 
 
 def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
@@ -202,9 +211,7 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
         raise InconsistentInput(
             f"reconstruction puts {len(result - lg)} of its cells off the gap lattice"
         )
-    # every cell is a gap cell, checked just above, so its value is the gap
-    p, x, y = T.product, T.alpha, T.beta
-    return sorted(p - a * x - b * y for a, b in result)
+    return cell_values(T, result)
 
 
 def _corner_betas(alpha: int, top: int):

@@ -127,11 +127,24 @@ _JSON_VALUE = st.recursive(
 @example([None, True, False, {"none": None, "true": True, "false": False}])
 @example({'"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800': ['"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800']})
 @example([-(10**300), 10**300, -1, 0, 2**64, (1, (2, ()))])
+# lists of records and of int rows, which `_int_rows_text` writes when their
+# keys, lengths and value types allow, and leaves to the general path otherwise
+@example({"lattice": [{"a": 1, "b": 6, "value": 1, "wilf": 5}, {"a": 2, "b": 6, "value": 0, "wilf": -3}]})
+@example([({"a": -(10**300), "b": 10**300},), ({"a": 0, "b": 2**64}, {"a": -1, "b": 1})])
+@example([[{"a": 1, "b": True}, {"a": 2, "b": False}], [{"a": True}, {"a": 1}], [{"a": 1}, {"a": None}]])
+@example([{"%d": 1, '"%s%%': 2, "\u00e9\u20ac%": 3}, {"%d": 4, '"%s%%': 5, "\u00e9\u20ac%": 6}])
+@example([[{"a": 1, "b": 2}, {"b": 3, "a": 4}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1, "b": 2}, {"a": 1}]])
+@example([[{}, {}], ({}, {"a": 1}), [{"a": 1}, {}], [{"a": 1}, ["a"]], [{"a": 1}, "a"]])
+@example({"cells": [(1, 6), [2, 6]], "big": ((10**300,), [-(10**300)]), "nested": [[[1, 2]], [[3, 4]]]})
+@example([[[1, 2], [3]], [[1, True], [2, 3]], [[1], [None]], [[], []], [[1], []], [(1, 2), {"a": 1}], [[1], "a"]])
 def test_json_text_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
-@pytest.mark.parametrize("obj", [1.5, {1, 2}, {1: "int key"}, [{"ok": [0.0]}], {"a": {True: 1}}])
+@pytest.mark.parametrize("obj", [
+    1.5, {1, 2}, {1: "int key"}, [{"ok": [0.0]}], {"a": {True: 1}},
+    [{"a": 1}, {"a": 1.5}], ({"a": 2.0},), [{1: 1}, {1: 2}], [(1, 2), [3, 1.5]],
+])
 def test_json_text_rejects_other_types(obj):
     with pytest.raises(TypeError):
         _json_text(obj)

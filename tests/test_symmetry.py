@@ -3,6 +3,7 @@ import pytest
 from gapsym import (
     Ambiguous,
     InconsistentInput,
+    OutOfTriangle,
     TwoGen,
     border_transport,
     card_formulas,
@@ -39,6 +40,12 @@ def test_triangles():
     T813 = TwoGen(8, 13)
     assert len(triangle_u(T813)) == 8
     assert len(triangle_r(T813)) == 10
+
+
+@pytest.mark.parametrize("cell, value", [((0, 3), 32), ((3, 0), 35), ((6, 2), -2), ((4, 4), -4), ((8, 0), 0)])
+def test_cell_values_rejects_cells_off_the_lattice(cell, value):
+    with pytest.raises(OutOfTriangle, match=rf"^\({cell[0]}, {cell[1]}\) has value {value}$"):
+        cell_values(T78, {(1, 1), cell, (4, 3)})
 
 
 def test_supersymmetric_side():
