@@ -21,7 +21,9 @@ class FundamentalGapSet:
 
 
 def fundamental_gaps(S: NumericalSemigroup) -> FundamentalGapSet:
-    fg = tuple(g for g in S.gaps if S.contains(2 * g) and S.contains(3 * g))
+    # 2g and 3g are positive, so each is a member exactly when it is no gap
+    gaps = set(S.gaps)
+    fg = tuple(g for g in S.gaps if 2 * g not in gaps and 3 * g not in gaps)
     return FundamentalGapSet(gaps=fg)
 
 

@@ -78,7 +78,7 @@ def brute_dual(S: NumericalSemigroup, generators, bound: int):
     return members, _greedy_minimal(S, members, nbits)
 
 
-def enumerate_lean_sets(T: TwoGen, max_ed: int | None = None):
+def enumerate_lean_sets(T: TwoGen):
     """Yield every lean set of the two-generator semigroup as a value list.
 
     Lean sets are exactly the strict staircase chains in the gap lattice
@@ -94,8 +94,6 @@ def enumerate_lean_sets(T: TwoGen, max_ed: int | None = None):
 
     def extend(prefix, last_col, last_row):
         yield [0] + [T.value(a, b) for a, b in prefix]
-        if max_ed is not None and len(prefix) + 1 >= max_ed:
-            return
         for a in cols:
             if a <= last_col or last_row <= 1:
                 continue

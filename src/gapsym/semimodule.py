@@ -15,13 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
+from .errors import EmptyInput, PrincipalModule
 from .semigroup import NumericalSemigroup, _bits, _minimal
 
 
 class GammaSemimodule:
     """Normalized semimodule; its conductor and delta are computed once at
     construction, and `gap_list` is computed on read.
+
+    `mask` is the membership int its builder already holds: bit x is set
+    exactly when x is a member, so every bit from the conductor up is set
+    and the int is negative.  The builders (`make_semimodule`,
+    `_gap_module`) guarantee that it is the module the minimal generators
+    generate, the OR of the base's membership int shifted up by each.
 
     `cells` are the lattice cells of the nonzero generators, in generator
     order, when the caller already has them; otherwise they are computed on
@@ -30,15 +36,11 @@ class GammaSemimodule:
 
     __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_cells", "_path")
 
-    def __init__(self, base: NumericalSemigroup, min_generators, cells=None):
+    def __init__(self, base: NumericalSemigroup, min_generators, mask: int, cells=None):
         self.base = base
         self.min_generators = tuple(min_generators)
         self._cells = cells
         self._path = None
-        table = base._table
-        mask = 0
-        for g in self.min_generators:
-            mask |= table << g
         self._mask = mask
         gaps = ~mask
         self.conductor = gaps.bit_length()
@@ -115,7 +117,7 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
         rest = keep[1:]
         cells, rest = zip(*sorted(zip(map(T.cell_of, rest), rest)))
         keep = [0, *rest]
-    return GammaSemimodule(S, keep, cells)
+    return GammaSemimodule(S, keep, mask, cells)
 
 
 def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
@@ -123,11 +125,13 @@ def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
 
     No normalization or peel is needed: 0 is the least generator, g is not
     in 0 + S because it is a gap, and 0 is not in g + S because g > 0, so
-    (0, g) is already the minimal lean system, ascending.  With one nonzero
+    (0, g) is already the minimal lean system, ascending, and the module's
+    membership int is S's OR that int shifted up by g.  With one nonzero
     generator there is no cell order to sort.  `cell` is g's lattice cell
     when the caller has it.  The caller guarantees that g is a gap.
     """
-    return GammaSemimodule(S, (0, g), None if cell is None else (cell,))
+    table = S._table
+    return GammaSemimodule(S, (0, g), table | table << g, None if cell is None else (cell,))
 
 
 def is_lean(S: NumericalSemigroup, values) -> bool:
@@ -227,12 +231,9 @@ def _path(delta: GammaSemimodule) -> LeanCouple:
     # Built once per module and kept on it: the conductor and delta formulas
     # and the closed-form dual read the same corners.
     if delta._path is None:
-        S = delta.base
-        if len(S.generators) != 2:
-            raise NotTwoGenerated(f"base has generators {S.generators}")
+        T = delta.base.two_gen()
         if delta.ed < 2:
             raise PrincipalModule("a principal module has no syzygy path")
-        T = S.two_gen()
         pts = delta.cells
         corners = [(0, pts[0][1])]
         corners += [(pts[i][0], pts[i + 1][1]) for i in range(len(pts) - 1)]
@@ -251,20 +252,16 @@ def _path(delta: GammaSemimodule) -> LeanCouple:
 
 def sm_conductor_formula(delta: GammaSemimodule) -> int:
     """Conductor from the largest syzygy generator: M - alpha - beta + 1."""
-    S = delta.base
-    if len(S.generators) != 2:
-        raise NotTwoGenerated(f"base has generators {S.generators}")
+    T = delta.base.two_gen()
     if delta.ed < 2:
-        return S.conductor
-    a, b = S.generators
-    return _path(delta).max_syzygy - a - b + 1
+        return delta.base.conductor
+    return _path(delta).max_syzygy - T.alpha - T.beta + 1
 
 
 def delta_formula(delta: GammaSemimodule) -> int:
     """Delta invariant from the staircase column widths and row heights."""
     S = delta.base
-    if len(S.generators) != 2:
-        raise NotTwoGenerated(f"base has generators {S.generators}")
+    S.two_gen()  # raises NotTwoGenerated for any other base
     if delta.ed < 2:
         return S.delta
     pts = _path(delta).es_turns

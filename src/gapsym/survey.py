@@ -2,13 +2,14 @@
 
 Each check replays one structural fact on one pair and yields unlabeled
 `(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
-labels each with its pair, files it, and builds at most one partition per
-pair, when a check first calls `blocks()`; a failed build is kept and
-raised again to each later caller.  Likewise the first check on a pair
-that calls `modules()` builds the module [0, g] of every gap of the pair,
-in one walk of its gap cells, and later checks read the same table; a pair
-whose checks never call it builds no module.  The known printed-sum
-undercount for the upper triangle at odd alpha is downgraded to a warning.
+labels each with its pair and files it.  A check reads the pair's derived
+objects through two callables made by `_once`, which builds on the first
+call and keeps the outcome for the pair: `blocks()` gives the verified
+partition, and a failed build is kept and raised again to each later
+caller; `modules()` gives the module [0, g] of every gap of the pair, built
+in one walk of its gap cells.  A pair whose checks never call one builds
+nothing for it.  The known printed-sum undercount for the upper triangle
+at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
@@ -116,39 +117,22 @@ def _check_conductor_sym(T, blocks, modules):
             yield "violations", f"row {b} conductor mismatch"
 
 
-def _partition_once(T):
-    """A callable that builds T's verified partition on its first call and,
-    on every call, returns it or raises again the GapsymError it raised."""
+def _once(build):
+    """A callable that calls `build` on its first call and, on every call,
+    returns what it returned or raises again the GapsymError it raised."""
     outcome = []
 
-    def blocks():
+    def get():
         if not outcome:
             try:
-                outcome.append(gap_partition(T))
+                outcome.append(build())
             except GapsymError as exc:
                 outcome.append(exc)
         if isinstance(outcome[0], GapsymError):
             raise outcome[0]
         return outcome[0]
 
-    return blocks
-
-
-def _modules_once(T):
-    """A callable that returns the table of T's gap modules: a dict from the
-    cell (a, b) of each gap g to the module [0, g], in the order of
-    `T.walk`.  The first call builds every module in one walk, which yields
-    each cell with its value; later calls return the same dict."""
-    S = T.semigroup()
-    table = None
-
-    def modules():
-        nonlocal table
-        if table is None:
-            table = {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()}
-        return table
-
-    return modules
+    return get
 
 
 _CHECKS = {
@@ -179,9 +163,13 @@ def run_survey(max_beta: int, checks=("all",)):
     names = list(CHECK_NAMES) if "all" in checks else [c for c in CHECK_NAMES if c in checks]
     results = {name: CheckResult(name) for name in names}
     for alpha, beta in coprime_pairs(max_beta):
-        T = NumericalSemigroup([alpha, beta]).two_gen()
-        blocks = _partition_once(T)
-        modules = _modules_once(T)
+        S = NumericalSemigroup([alpha, beta])
+        T = S.two_gen()
+        # both callables are read only in this iteration, so the lambdas
+        # see this pair's T and S; the module table maps the cell (a, b) of
+        # each gap g to [0, g], in one walk and in the order of `T.walk`
+        blocks = _once(lambda: gap_partition(T))
+        modules = _once(lambda: {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()})
         label = f"({alpha},{beta}) "
         for name in names:
             res = results[name]

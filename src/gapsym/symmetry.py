@@ -25,10 +25,6 @@ def _row_major(cells):
     return sorted(cells, key=lambda p: (-p[1], p[0]))
 
 
-def _lg_cells(T: TwoGen) -> frozenset:
-    return frozenset((a, b) for a, b, _ in T.walk())
-
-
 def _row_cells(T: TwoGen, rows) -> frozenset:
     """All gap cells of the given rows b."""
     return frozenset((a, b) for b in rows for a in range(1, T.row_length(b) + 1))
@@ -149,7 +145,7 @@ def gap_partition(T: TwoGen) -> GapPartition:
     tr = triangle_r(T)
     ssg = self_symmetric_gaps(T)
     part = GapPartition(tu, reflect_alpha(T, tu), ssg, tr, reflect_beta(T, tr))
-    lg = _lg_cells(T)
+    lg = _row_cells(T, range(1, T.alpha))
     blocks = part.blocks()
     if frozenset().union(*blocks) != lg or sum(map(len, blocks)) != len(lg):
         raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
@@ -186,7 +182,7 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     ssg = frozenset(tuple(p) for p in ssg_cells)
     if sg_side not in ("T_u", "T_r"):
         raise InconsistentInput(f"unknown side tag {sg_side!r}")
-    lg = _lg_cells(T)
+    lg = _row_cells(T, range(1, T.alpha))
     if not sg <= lg or not ssg <= lg:
         raise InconsistentInput("input cells outside the gap lattice")
     rect = rectangle_cells(T)

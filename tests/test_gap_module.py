@@ -2,6 +2,9 @@
 same module built through `make_semimodule`, and the per-gap checks that
 read it against their definitions on the `make_semimodule` module."""
 
+from functools import reduce
+from operator import or_
+
 import pytest
 
 from gapsym import (
@@ -36,6 +39,8 @@ def _assert_same_module(d, ref):
     S = ref.base
     assert d.base is S
     assert d.min_generators == ref.min_generators
+    # the builder's mask is the module its minimal generators generate
+    assert d._mask == reduce(or_, (S._table << g for g in d.min_generators))
     assert (d.conductor, d.delta, d.wilf, d.gap_list) == (ref.conductor, ref.delta, ref.wilf, ref.gap_list)
     points = (-1, 0, S.conductor - 1, S.conductor, ref.conductor - 1, ref.conductor)
     assert [d.member(x) for x in points] == [ref.member(x) for x in points]

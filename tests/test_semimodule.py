@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -220,7 +222,7 @@ def test_cells_and_path_agree_with_direct_construction():
         S = make_semigroup([alpha, beta])
         for values in enumerate_lean_sets(S.two_gen()):
             made = make_semimodule(S, values)
-            direct = GammaSemimodule(S, values)
+            direct = GammaSemimodule(S, values, made._mask)
             assert direct.min_generators == made.min_generators
             first = _closed_forms(made)
             assert _closed_forms(direct) == first
@@ -237,10 +239,10 @@ def test_three_generator_base_keeps_the_scan():
     with pytest.raises(NotTwoGenerated):
         d.lattice_points()
     with pytest.raises(NotTwoGenerated):
-        lattice_path(GammaSemimodule(S4613, [0, 11]))
+        lattice_path(GammaSemimodule(S4613, [0, 11], d._mask))
     bound = S4613.conductor + 2 * 13 + 11
     assert dual_generators(d) == brute_dual(S4613, [0, 11], bound)[1]
-    assert dual_generators(GammaSemimodule(S4613, [0, 11])) == dual_generators(d)
+    assert dual_generators(GammaSemimodule(S4613, [0, 11], d._mask)) == dual_generators(d)
 
 
 def _reference_min_generators(S, generators):
@@ -287,6 +289,8 @@ def _check_against_reference(S, table, generators):
     bits, conductor, delta, gaps, symmetric = _reference_scan(S, table, keep)
     d = make_semimodule(S, generators)
     assert d.min_generators == keep
+    # the builder's mask is the module its minimal generators generate
+    assert d._mask == reduce(or_, (S._table << g for g in d.min_generators))
     # the mask matches the reference below c(S) and is all members above
     low = (1 << len(bits)) - 1
     assert d._mask & low == int(bits[::-1] or "0", 2)
@@ -346,7 +350,8 @@ def test_make_semimodule_and_predicates_match_references_on_lean_sets():
 def test_make_semimodule_matches_quadratic_scan_on_arbitrary_lists():
     # unsorted, duplicated, non-lean and negative generator lists
     rng = random.Random(20201103)
-    bases = [S57, S78, S58, S4613, make_semigroup([3, 10]), make_semigroup([6, 9, 20])]
+    bases = [S57, S78, S58, S4613, make_semigroup([3, 10]), make_semigroup([6, 9, 20]),
+             make_semigroup([7, 11, 13, 17])]
     for S in bases:
         top = S.conductor + 2 * S.generators[-1]
         table = _table(S)
@@ -355,7 +360,7 @@ def test_make_semimodule_matches_quadratic_scan_on_arbitrary_lists():
             gens += rng.sample(gens, rng.randint(0, len(gens)))
             rng.shuffle(gens)
             _check_against_reference(S, table, gens)
-    for gens in ([0, 1], [0, 2, 7], [0, 11], [3, 5], [16, 0, 1, 1], [-4, -2, 9]):
+    for gens in ([0, 1], [0, 2, 7], [0, 11], [3, 5], [16, 0, 1, 1], [-4, -2, 9], [0, 100000]):
         _check_against_reference(S4613, _table(S4613), gens)
 
 

@@ -203,6 +203,20 @@ def test_member_mask_is_read_only_by_the_oracle():
     assert found == []
 
 
+def test_only_semimodule_builds_modules():
+    # a module takes the membership int its builder holds, so only the
+    # builders in semimodule.py may call the constructor
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "semimodule.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "GammaSemimodule"
+    ]
+    assert found == []
+
+
 def test_perfbench_traced_methods_exist():
     # perfbench/tracing.py patches methods by name; tier-1 never imports it,
     # so a renamed or deleted method would only show in a traced benchmark run
