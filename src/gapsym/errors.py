@@ -54,4 +54,4 @@ class XNotInGaps(GapsymError):
 
 
 class NotASemigroup(GapsymError):
-    """The complement of the divisor closure is not additively closed."""
+    """The values are not the fundamental gaps of any semigroup."""

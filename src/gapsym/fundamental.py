@@ -86,6 +86,9 @@ def semigroup_from_fg(fg) -> NumericalSemigroup:
     fg = set(fg)
     if not fg:
         return NumericalSemigroup([1])
+    low = min(fg)
+    if low <= 0:
+        raise NotASemigroup(f"{low} is not positive, so it is no gap of a semigroup")
     closure = divisor_closure(fg)
     top = max(closure)
     members = [x for x in range(1, top + 1) if x not in closure]

@@ -20,8 +20,9 @@ from .semigroup import NumericalSemigroup, _bits, _minimal
 
 
 class GammaSemimodule:
-    """Normalized semimodule; its conductor and delta are computed once at
-    construction, and `gap_list` is computed on read.
+    """Normalized semimodule; its conductor, delta, `ed` (the number of
+    minimal generators) and Wilf number `wilf` (ed * delta - conductor) are
+    all set once, at construction, and `gap_list` is computed on read.
 
     `mask` is the membership int its builder already holds: bit x is set
     exactly when x is a member, so every bit from the conductor up is set
@@ -34,7 +35,7 @@ class GammaSemimodule:
     first use.
     """
 
-    __slots__ = ("base", "min_generators", "conductor", "delta", "_mask", "_cells", "_path")
+    __slots__ = ("base", "min_generators", "conductor", "delta", "ed", "wilf", "_mask", "_cells", "_path")
 
     def __init__(self, base: NumericalSemigroup, min_generators, mask: int, cells=None):
         self.base = base
@@ -45,21 +46,13 @@ class GammaSemimodule:
         gaps = ~mask
         self.conductor = gaps.bit_length()
         self.delta = self.conductor - gaps.bit_count()
+        self.ed = len(self.min_generators)
+        self.wilf = self.ed * self.delta - self.conductor
 
     @property
     def gap_list(self):
         """Naturals missing from the module, ascending."""
         return tuple(_bits(~self._mask))
-
-    @property
-    def ed(self) -> int:
-        """Embedding dimension: the number of minimal generators."""
-        return len(self.min_generators)
-
-    @property
-    def wilf(self) -> int:
-        """Wilf number ed * delta - conductor."""
-        return self.ed * self.delta - self.conductor
 
     def member(self, x: int) -> bool:
         return x >= 0 and (self._mask >> x) & 1 == 1
@@ -137,7 +130,9 @@ def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
 def is_lean(S: NumericalSemigroup, values) -> bool:
     """Whether all pairwise absolute differences of the set are gaps of S."""
     vals = sorted(set(values))
-    return all(not S.contains(y - x) for x, y in combinations(vals, 2))
+    # every difference is positive, so it is a member exactly when it is no gap
+    gaps = set(S.gaps)
+    return all(y - x in gaps for x, y in combinations(vals, 2))
 
 
 def syzygy_generators(delta: GammaSemimodule):

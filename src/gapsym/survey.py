@@ -50,8 +50,10 @@ def _check_partition(T, blocks, modules):
         yield "violations", "block sizes miss the genus"
     S = T.semigroup()
     rect = rectangle_cells(T)
+    # 2g is positive, so it is a member exactly when it is no gap
+    gaps = set(S.gaps)
     for a, b, g in T.walk():
-        if S.contains(2 * g) != ((a, b) in rect):
+        if (2 * g not in gaps) != ((a, b) in rect):
             yield "violations", f"gap {g} rectangle mismatch"
 
 
@@ -99,21 +101,16 @@ def _check_cardinality(T, blocks, modules):
 def _check_conductor_sym(T, blocks, modules):
     c = T.semigroup().conductor
     part = blocks()
-    table = modules()
-
-    def cond(a, b):
-        # a cell off the gap lattice has no gap, so no module [0, g]: None
-        # matches no expected conductor
-        d = table.get((a, b))
-        return None if d is None else d.conductor
-
+    # a cell off the gap lattice has no gap, so no module [0, g]: it reads
+    # None, which matches no expected conductor
+    cond = {cell: d.conductor for cell, d in modules().items()}
     for a, b in part.t_u:
         expected = c - a * T.alpha
-        if cond(a, b) != expected or cond(a, T.alpha - b) != expected:
+        if cond.get((a, b)) != expected or cond.get((a, T.alpha - b)) != expected:
             yield "violations", f"column {a} conductor mismatch"
     for a, b in part.t_r:
         expected = c - b * T.beta
-        if cond(a, b) != expected or cond(T.beta - a, b) != expected:
+        if cond.get((a, b)) != expected or cond.get((T.beta - a, b)) != expected:
             yield "violations", f"row {b} conductor mismatch"
 
 

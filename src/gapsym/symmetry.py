@@ -423,36 +423,35 @@ class GapClass:
 def gap_conductor_partition(S: NumericalSemigroup):
     """Group gaps by the conductor of [0, g]; pair members of equal |W|.
 
-    Within a class, two gaps of equal absolute Wilf number form a pair; a
-    singleton class is its own representative, and for a two-generator base
-    the lone unpaired member of an odd class (always Wilf number zero) is
-    flagged the same way.
+    W is the Wilf number of [0, g].  Each gap is filed with its W under its
+    conductor and |W|; `S.gaps` is ascending, so every bucket is too.  Within
+    a class, the two gaps of a bucket of two form a pair; a singleton class
+    is its own representative, and for a two-generator base the lone unpaired
+    member of an odd class (always Wilf number zero) is flagged the same way.
     """
     by_conductor = {}
-    wilf = {}
     for g in S.gaps:
         d = _gap_module(S, g)
-        by_conductor.setdefault(d.conductor, []).append(g)
-        wilf[g] = d.wilf
+        buckets = by_conductor.setdefault(d.conductor, {})
+        buckets.setdefault(abs(d.wilf), []).append((g, d.wilf))
     out = []
     for c in sorted(by_conductor):
-        members = sorted(by_conductor[c])
-        buckets = {}
-        for g in members:
-            buckets.setdefault(abs(wilf[g]), []).append(g)
+        buckets = by_conductor[c]
+        members = sorted(g for group in buckets.values() for g, _ in group)
         pairs = []
         unpaired = []
         for w in sorted(buckets):
             group = buckets[w]
             if len(group) == 2:
-                pairs.append((min(group), max(group)))
+                (g, _), (h, _) = group
+                pairs.append((g, h))
             else:
                 unpaired.extend(group)
         self_symmetric = None
         if len(members) == 1:
             self_symmetric = members[0]
-        elif len(unpaired) == 1 and wilf[unpaired[0]] == 0:
-            self_symmetric = unpaired[0]
+        elif len(unpaired) == 1 and unpaired[0][1] == 0:
+            self_symmetric = unpaired[0][0]
         out.append(
             GapClass(
                 conductor=c,

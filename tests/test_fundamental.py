@@ -52,6 +52,10 @@ def test_semigroup_from_fg():
     assert semigroup_from_fg(set()).generators == (1,)
     with pytest.raises(NotASemigroup):
         semigroup_from_fg({5})  # complement of {1,5} is not closed: 2+3=5
+    # no gap is 0 or negative; the error names the value
+    for fg, low in (([0], 0), ([-3], -3), ([0, 5], 0)):
+        with pytest.raises(NotASemigroup, match=f"^{low} is not positive"):
+            semigroup_from_fg(fg)
 
 
 def test_fg_round_trip():

@@ -8,6 +8,7 @@ from operator import or_
 import pytest
 
 from gapsym import (
+    GapClass,
     NumericalSemigroup,
     RedChecks,
     TwoGen,
@@ -41,7 +42,8 @@ def _assert_same_module(d, ref):
     assert d.min_generators == ref.min_generators
     # the builder's mask is the module its minimal generators generate
     assert d._mask == reduce(or_, (S._table << g for g in d.min_generators))
-    assert (d.conductor, d.delta, d.wilf, d.gap_list) == (ref.conductor, ref.delta, ref.wilf, ref.gap_list)
+    assert (d.conductor, d.delta, d.ed, d.wilf, d.gap_list) == (
+        ref.conductor, ref.delta, ref.ed, ref.wilf, ref.gap_list)
     points = (-1, 0, S.conductor - 1, S.conductor, ref.conductor - 1, ref.conductor)
     assert [d.member(x) for x in points] == [ref.member(x) for x in points]
 
@@ -85,9 +87,50 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
             assert red_equivalence(T, g, with_cell) == red_equivalence(T, g)
 
 
+def _reference_gap_conductor_partition(S):
+    # gap_conductor_partition written with a Wilf table beside the classes
+    # and a second loop that buckets each class by |W|; the classes must not
+    # change
+    by_conductor = {}
+    wilf = {}
+    for g in S.gaps:
+        d = _gap_module(S, g)
+        by_conductor.setdefault(d.conductor, []).append(g)
+        wilf[g] = d.wilf
+    out = []
+    for c in sorted(by_conductor):
+        members = sorted(by_conductor[c])
+        buckets = {}
+        for g in members:
+            buckets.setdefault(abs(wilf[g]), []).append(g)
+        pairs = []
+        unpaired = []
+        for w in sorted(buckets):
+            group = buckets[w]
+            if len(group) == 2:
+                pairs.append((min(group), max(group)))
+            else:
+                unpaired.extend(group)
+        self_symmetric = None
+        if len(members) == 1:
+            self_symmetric = members[0]
+        elif len(unpaired) == 1 and wilf[unpaired[0]] == 0:
+            self_symmetric = unpaired[0]
+        out.append(
+            GapClass(
+                conductor=c,
+                members=tuple(members),
+                pairs=tuple(pairs),
+                self_symmetric=self_symmetric,
+            )
+        )
+    return out
+
+
 def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
-    sgs = _semigroups()
+    sgs = _semigroups() + [NumericalSemigroup([60, 67]), NumericalSemigroup([100, 113, 127])]
     direct = [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
+    assert [classes for classes, _ in direct] == [_reference_gap_conductor_partition(S) for S in sgs]
     for mod in (symmetry, wilf):
         monkeypatch.setattr(mod, "_gap_module", lambda S, g, cell=None: make_semimodule(S, [0, g]))
     assert direct == [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]

@@ -58,6 +58,20 @@ def test_is_lean():
     assert is_lean(S57, {0, 9, 11, 8})
     assert not is_lean(S57, {0, 5})
     assert is_lean(S58, {0, 4, 6, 7})
+    # below 400 every difference is a gap of <400, 401>; 400 itself is not
+    S = make_semigroup([400, 401])
+    assert is_lean(S, range(400))
+    assert not is_lean(S, range(401))
+    # random sets, lean or not, against the pairwise definition
+    rng = random.Random(19)
+    counts = {True: 0, False: 0}
+    for S in (S57, S78, S58, S4613):
+        for _ in range(200):
+            vals = [rng.randrange(-3, S.conductor + 6) for _ in range(rng.randrange(1, 6))]
+            want = all(not S.contains(abs(y - x)) for x, y in combinations(set(vals), 2))
+            assert is_lean(S, vals) == want, (S, vals)
+            counts[want] += 1
+    assert min(counts.values()) > 100, counts
 
 
 def test_member_conductor_delta():

@@ -217,6 +217,23 @@ def test_only_semimodule_builds_modules():
     assert found == []
 
 
+def test_no_contains_call_in_a_loop():
+    # each S.contains shifts the whole membership int, so a loop of them
+    # costs the conductor per step; a loop tests against a gap set instead
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for loop in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "contains"
+    })
+    assert found == []
+
+
 def test_perfbench_traced_methods_exist():
     # perfbench/tracing.py patches methods by name; tier-1 never imports it,
     # so a renamed or deleted method would only show in a traced benchmark run
