@@ -37,9 +37,9 @@ assert neg == doubled
 # Fundamental gaps need 2g and 3g in the semigroup; 25 doubles in but not
 # triples, so nonpositive Wilf number does not imply fundamental.
 fg = fundamental_gaps(S)
-print(f"fundamental gaps ({len(fg.gaps)}): {list(fg.gaps)}")
+print(f"fundamental gaps ({len(fg)}): {list(fg)}")
 print(f"gap 25: Wilf {wilf_gap(S, 25)}, 50 in semigroup: {S.contains(50)}, "
-      f"75 in semigroup: {S.contains(75)}, fundamental: {25 in fg.gaps}")
+      f"75 in semigroup: {S.contains(75)}, fundamental: {25 in fg}")
 
 cc = compare_counts(T)
 print(f"|SG u SSG| = {cc.sg_ssg} <= |FG| = {cc.fg}: {cc.inequality_holds}")

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .fundamental import (
     CountComparison,
-    FundamentalGapSet,
     RedChecks,
     compare_counts,
     divisor_closure,

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
 from .fundamental import divisor_closure, fundamental_gaps
 from .render import DEFAULT_LAYERS, LAYERS, render_svg
-from .semigroup import NumericalSemigroup, TwoGen, _sieve_width
+from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import (
     is_lean,
     is_fixed_point,
@@ -45,23 +45,25 @@ from .symmetry import (
 
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
 
-# Largest sieve a command may build, in bits.  Construction allocates the
-# Schur width `_sieve_width` of the given generators at once; every pair
-# with alpha, beta up to 500 fits.
+# Largest sieve width a command accepts, in bits; every pair with alpha,
+# beta up to 500 fits.
 MAX_SIEVE_BITS = 1 << 18
 
 
 def _check_width(gens):
-    """Reject (exit 3) positive generators whose sieve exceeds MAX_SIEVE_BITS.
+    """Reject (exit 3) positive generators whose sieve width exceeds
+    MAX_SIEVE_BITS.
 
-    Runs before any semigroup is built; other invalid input is left to the
-    constructors, which raise their own errors.
+    The width is (m-1)(max-1) + max + 2: the Schur bound the constructor
+    sieves, plus one largest generator and two bits.  Runs before any
+    semigroup is built; other invalid input is left to the constructors.
     """
     if gens and min(gens) > 0:
-        width = _sieve_width(gens)
+        m, big = min(gens), max(gens)
+        width = (m - 1) * (big - 1) + big + 2
         if width > MAX_SIEVE_BITS:
             raise InconsistentInput(
-                f"generators {min(gens)}..{max(gens)} need a {width}-bit sieve; "
+                f"generators {m}..{big} need a {width}-bit sieve; "
                 f"the limit is {MAX_SIEVE_BITS}"
             )
 
@@ -180,7 +182,7 @@ def cmd_analyze(args):
     side, sg = _smaller_triangle(part.t_u, part.t_r)
     ssg = part.ssg
     fg = fundamental_gaps(S)
-    n_sym, n_fg = len(sg) + len(ssg), len(fg.gaps)
+    n_sym, n_fg = len(sg) + len(ssg), len(fg)
     report = {
         "alpha": T.alpha,
         "beta": T.beta,
@@ -195,7 +197,7 @@ def cmd_analyze(args):
         "partition": dict(
             zip(("t_u", "s_alpha_t_u", "ssg", "t_r", "s_beta_t_r"), part.block_sizes())
         ),
-        "fg": list(fg.gaps),
+        "fg": list(fg),
         "counts": {"sg_ssg": n_sym, "fg": n_fg},
     }
     return _output(args, report, lambda: [
@@ -204,7 +206,7 @@ def cmd_analyze(args):
         f"symmetric side {side}: {report['sg']['values']}",
         f"self-symmetric: {report['ssg']['values']}",
         f"partition blocks: {part.block_sizes()}",
-        f"fundamental gaps ({n_fg}): {list(fg.gaps)}",
+        f"fundamental gaps ({n_fg}): {list(fg)}",
         f"|SG u SSG| = {n_sym} {'<=' if n_sym <= n_fg else '>'} |FG| = {n_fg}",
     ]), 0
 
@@ -387,14 +389,14 @@ def cmd_fundamental(args):
     report = {
         "gens": list(S.generators),
         "gaps": list(S.gaps),
-        "fundamental_gaps": list(fg.gaps),
-        "divisor_closure": sorted(divisor_closure(fg.gaps)),
-        "counts": {"gaps": S.genus, "fg": len(fg.gaps)},
+        "fundamental_gaps": list(fg),
+        "divisor_closure": sorted(divisor_closure(fg)),
+        "counts": {"gaps": S.genus, "fg": len(fg)},
     }
     if len(S.generators) == 2:
         n_sym = _symmetric_count(S.two_gen())
         report["counts"]["sg_ssg"] = n_sym
-        report["counts"]["inequality_holds"] = n_sym <= len(fg.gaps)
+        report["counts"]["inequality_holds"] = n_sym <= len(fg)
     return _output(args, report), 0
 
 

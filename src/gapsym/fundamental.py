@@ -13,18 +13,11 @@ from .semimodule import _gap_module
 from .symmetry import _symmetric_count
 
 
-@dataclass(frozen=True)
-class FundamentalGapSet:
-    """Gaps g with both 2g and 3g in the semigroup."""
-
-    gaps: tuple
-
-
-def fundamental_gaps(S: NumericalSemigroup) -> FundamentalGapSet:
+def fundamental_gaps(S: NumericalSemigroup) -> tuple:
+    """Gaps g with both 2g and 3g in the semigroup, ascending."""
     # 2g and 3g are positive, so each is a member exactly when it is no gap
     gaps = set(S.gaps)
-    fg = tuple(g for g in S.gaps if 2 * g not in gaps and 3 * g not in gaps)
-    return FundamentalGapSet(gaps=fg)
+    return tuple(g for g in S.gaps if 2 * g not in gaps and 3 * g not in gaps)
 
 
 def fundamental_cells(T: TwoGen) -> set:
@@ -106,7 +99,7 @@ def h_determines(S: NumericalSemigroup, values) -> bool:
     xs = set(values)
     if not xs <= set(S.gaps):
         raise XNotInGaps(f"{sorted(xs - set(S.gaps))} are not gaps of {S!r}")
-    return set(fundamental_gaps(S).gaps) <= xs
+    return set(fundamental_gaps(S)) <= xs
 
 
 class RedChecks(NamedTuple):
@@ -149,11 +142,11 @@ class CountComparison:
 
 
 def compare_counts(T: TwoGen) -> CountComparison:
-    fg = fundamental_gaps(T.semigroup())
+    n_fg = len(fundamental_gaps(T.semigroup()))
     n_sym = _symmetric_count(T)
     return CountComparison(
         sg_ssg=n_sym,
-        fg=len(fg.gaps),
-        inequality_holds=n_sym <= len(fg.gaps),
+        fg=n_fg,
+        inequality_holds=n_sym <= n_fg,
         alpha2_fg_formula=_fundamental_count(T) if T.alpha == 2 else None,
     )

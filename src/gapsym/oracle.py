@@ -133,8 +133,7 @@ def _semigroup_tree(gmax: int):
     out = []
     for level in levels:
         for mask, frob, gens in level:
-            # every bit from the conductor frob + 1 up is a member
-            out.append(NumericalSemigroup._from_sieve(gens, mask | -(1 << (frob + 1))))
+            out.append(NumericalSemigroup._from_sieve(gens, full & ~mask))
     return tuple(out)
 
 
@@ -163,10 +162,12 @@ def brute_h_determines(values, gmax: int):
     for S in _semigroup_tree(gmax):
         if S.frobenius != top:
             continue
-        if xmask & S._table:
+        members = S.member_mask(top + 1)
+        if xmask & members:
             continue
-        gaps = ~S._table
-        if any(~kept._table & gaps == ~kept._table for kept in minimal):
+        # every avoider kept has Frobenius number top as well, so its gaps
+        # lie among S's exactly when S has no member below top that it lacks
+        if any(members & ~kept.member_mask(top + 1) == 0 for kept in minimal):
             continue
         minimal.append(S)
     if not minimal:

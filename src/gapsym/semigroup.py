@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
+from operator import index
 
 from .errors import EmptyInput, GcdNotOne, NotAGap, NotTwoGenerated, OutOfTriangle
 
@@ -25,7 +26,7 @@ class NumericalSemigroup:
     __slots__ = ("generators", "conductor", "frobenius", "gaps", "_table", "_twogen")
 
     def __init__(self, generators):
-        gens = sorted(set(int(g) for g in generators))
+        gens = sorted(set(map(index, generators)))
         if not gens:
             raise EmptyInput("need at least one generator")
         if gens[0] <= 0:
@@ -33,7 +34,9 @@ class NumericalSemigroup:
         if reduce(gcd, gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is not 1")
 
-        nbits = _sieve_width(gens)
+        # Schur bound: conductor <= (m-1)(max-1), so every integer from this
+        # width up is a member and only the bits below it need sieving.
+        nbits = (gens[0] - 1) * (gens[-1] - 1)
         full = (1 << nbits) - 1
         # Close under each generator by doubling: after the shifts by g, 2g,
         # ..., 2^k g the table holds every multiple of g up to (2^(k+1)-1) g.
@@ -44,26 +47,24 @@ class NumericalSemigroup:
                 table |= (table << step) & full
                 step <<= 1
 
-        # every integer past the sieve is a member as well
-        self._set_table(table | ~full)
+        self._set_gaps(full & ~table)
         self.generators = tuple(_bits(_minimal(self._table & ~1, gens)))
 
     @classmethod
-    def _from_sieve(cls, generators, table):
+    def _from_sieve(cls, generators, gapmask):
         # Trusted fast path for the genus-tree enumerator: the generators and
-        # the membership int are taken as given, no re-sieving.
+        # the finite gap mask are taken as given, no re-sieving.
         self = cls.__new__(cls)
-        self._set_table(table)
+        self._set_gaps(gapmask)
         self.generators = tuple(generators)
         return self
 
-    def _set_table(self, table):
-        # the conductor and gaps are read off the finite gap mask ~table
-        gapmask = ~table
+    def _set_gaps(self, gapmask):
+        # the membership int is the complement of the finite gap mask
         self.conductor = gapmask.bit_length()
         self.frobenius = self.conductor - 1
         self.gaps = tuple(_bits(gapmask))
-        self._table = table
+        self._table = ~gapmask
         self._twogen = None
 
     def contains(self, x: int) -> bool:
@@ -105,19 +106,6 @@ class NumericalSemigroup:
 
     def __repr__(self):
         return f"NumericalSemigroup({list(self.generators)})"
-
-
-def _sieve_width(gens) -> int:
-    """Bits the sieve of the positive generators gens runs over.
-
-    Schur bound: Frobenius <= (m-1)(big-1) - 1, so conductor <= (m-1)(big-1);
-    the sieve also covers one largest generator past it.  The membership int
-    sets every bit from this width up, so the minimal generators do not need
-    that headroom; it stays because the CLI's MAX_SIEVE_BITS limit is defined
-    on this width.
-    """
-    m, big = min(gens), max(gens)
-    return (m - 1) * (big - 1) + big + 2
 
 
 def _bits(mask: int):
@@ -167,7 +155,7 @@ class TwoGen:
     # patches each of them through cls.__dict__[name].
 
     def __init__(self, alpha: int, beta: int):
-        alpha, beta = int(alpha), int(beta)
+        alpha, beta = index(alpha), index(beta)
         if alpha < 2 or beta <= alpha:
             raise GcdNotOne(f"need 2 <= alpha < beta, got ({alpha}, {beta})")
         if gcd(alpha, beta) != 1:

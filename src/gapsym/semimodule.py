@@ -72,16 +72,6 @@ class GammaSemimodule:
         gens = [g for g in self.min_generators if g != 0]
         return tuple((a, b, g) for (a, b), g in zip(self.cells, gens))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GammaSemimodule)
-            and self.base == other.base
-            and self.min_generators == other.min_generators
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.min_generators))
-
     def __repr__(self):
         return f"GammaSemimodule({self.base!r}, {list(self.min_generators)})"
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,19 @@ def test_reconstruct_names_the_failed_final_check(tmp_path, capsys, payload, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("payload, flags, message", [
+    ([RECONSTRUCT_78], [], "top-level JSON value must be an object"),
+    ({**RECONSTRUCT_78, "sg_side": "T_x"}, [], 'sg_side must be "T_u" or "T_r"'),
+    ({"sg_cells": [[1, 1]], "ssg_cells": []}, ["--infer"], "inference needs sg_values/ssg_values"),
+    ({"sg_values": [], "ssg_values": []}, ["--infer"], "inference needs sg_values/ssg_values"),
+    ({"alpha": 7, "beta": 8, "sg_cells": [[1, 1]], "ssg_values": []}, [],
+     "cells match neither triangle; supply sg_side"),
+], ids=["list", "sg_side", "cells_only", "empty_values", "neither_triangle"])
+def test_reconstruct_input_errors_exit_3(tmp_path, capsys, payload, flags, message):
+    assert main(["reconstruct", "--input", _write(tmp_path, "in.json", payload), *flags]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("key, value", [("sg_values", [13, 6, 7]), ("ssg_values", [4, 12, 42])])
 def test_reconstruct_non_gap_value_exits_3(tmp_path, capsys, key, value):
     # 7 is a generator of <7, 8> and 42 its conductor: neither is a gap
@@ -381,6 +395,34 @@ def test_survey_violation_exits_1(monkeypatch, capsys, check, owner, name, fake)
     assert "\n  VIOLATION (" in out
 
 
+def _ssg_formula_off_by_one(T):
+    rep = symmetry.card_formulas(T)
+    return dataclasses.replace(rep, ssg_formula=rep.ssg_formula + 1)
+
+
+@pytest.mark.parametrize(
+    "check, name, fake, message",
+    [
+        ("partition", "gap_partition",
+         lambda T: dataclasses.replace(symmetry.gap_partition(T), t_u=frozenset()),
+         r"block sizes miss the genus"),
+        ("partition", "rectangle_cells", lambda T: symmetry.rectangle_cells(T) - {(1, 1)},
+         r"gap \d+ rectangle mismatch"),
+        ("reconstruct", "reconstruct_from_symmetric", lambda *args: [], r"reconstruction differs"),
+        ("uff", "compare_counts",
+         lambda T: dataclasses.replace(fundamental.compare_counts(T), inequality_holds=False),
+         r"\|SG u SSG\|=\d+ > \|FG\|=\d+"),
+        ("cardinality", "card_formulas", _ssg_formula_off_by_one, r"SSG formula \d+ != \d+"),
+    ],
+    ids=["block_sizes", "rectangle", "reconstruction", "inequality", "ssg_formula"],
+)
+def test_survey_files_each_violation_message(monkeypatch, capsys, check, name, fake, message):
+    monkeypatch.setattr(survey, name, fake)
+    assert main(["survey", "--max-beta", "8", "--checks", check]) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"\n  VIOLATION \(\d+,\d+\) {message}\n", out), out
+
+
 def test_survey_lets_other_errors_propagate(monkeypatch):
     def broken(T):
         raise RuntimeError("broken")
@@ -426,6 +468,14 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--alpha", "7"])
     assert exc.value.code == 2
+
+
+def test_gens_not_integers_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classes", "--gens", "4,x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --gens: expected comma-separated integers, got '4,x'\n")
 
 
 def _in_process(argv):

@@ -43,6 +43,17 @@ def test_make_semigroup_errors():
         make_semigroup([0, 3])
 
 
+def test_constructors_reject_non_integers():
+    # the generators are taken through operator.index, so a float is not
+    # truncated and a string is not parsed
+    with pytest.raises(TypeError):
+        NumericalSemigroup([2.5, 3])
+    with pytest.raises(TypeError):
+        NumericalSemigroup(["3", "5"])
+    with pytest.raises(TypeError):
+        TwoGen(7.9, 8)
+
+
 def test_naturals():
     N = make_semigroup([1])
     assert N.conductor == 0

@@ -6,6 +6,7 @@ from operator import or_
 import pytest
 
 from gapsym import (
+    EmptyInput,
     GammaSemimodule,
     NotTwoGenerated,
     PrincipalModule,
@@ -39,6 +40,11 @@ def test_make_semimodule_keeps_lean_input():
     d = make_semimodule(S57, [0, 9, 11, 8])
     assert d.min_generators == (0, 9, 11, 8)  # ordered along the staircase
     assert d.ed == 4
+
+
+def test_make_semimodule_needs_a_generator():
+    with pytest.raises(EmptyInput, match="^need at least one generator$"):
+        make_semimodule(make_semigroup([3, 5]), [])
 
 
 def test_make_semimodule_normalizes_and_minimalizes():

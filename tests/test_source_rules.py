@@ -1,6 +1,8 @@
 """Rules on the library source itself, checked by parsing it."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gapsym"
@@ -203,6 +205,18 @@ def test_member_mask_is_read_only_by_the_oracle():
     assert found == []
 
 
+def test_only_semigroup_and_semimodule_read_table():
+    # membership storage belongs to semigroup.py, whose int semimodule.py
+    # shifts into its modules; every other module reads the public fields
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name not in ("semigroup.py", "semimodule.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_table"
+    ]
+    assert found == []
+
+
 def test_only_semimodule_builds_modules():
     # a module takes the membership int its builder holds, so only the
     # builders in semimodule.py may call the constructor
@@ -255,4 +269,70 @@ def test_perfbench_traced_methods_exist():
         }
         if method not in defined:
             missing.append(f"{layer}.{cls}.{method}")
+    assert missing == []
+
+
+def _span_keys(key, loops):
+    # the span name a subscript key spells out: a string, or each string an
+    # f-string builds from the tuples its comprehensions run over
+    if isinstance(key, ast.Constant):
+        return [key.value]
+    if isinstance(key, ast.JoinedStr):
+        names = [""]
+        for part in key.values:
+            if isinstance(part, ast.Constant):
+                names = [n + part.value for n in names]
+            else:
+                names = [n + v for n in names for v in loops[part.value.id]]
+        return names
+    return []
+
+
+def test_perfbench_traced_functions_exist():
+    # every span a per-layer metric or hook reads must be one the tracer
+    # records: a METHODS span, or a public module-level function of its layer
+    # that is no generator (install_spans wraps only those); a renamed or
+    # privatized function would read 0 with no error
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracing.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("LAYERS", "RENAMED", "METHODS")
+    }
+    tracer = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    funcs = {n.name: n for n in tracer.body if isinstance(n, ast.FunctionDef)}
+    metrics = funcs["metrics"]
+    loops = {
+        node.target.id: ast.literal_eval(node.iter)
+        for node in ast.walk(metrics)
+        if isinstance(node, ast.comprehension) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Tuple)
+    }
+    names = set()
+    for node in ast.walk(metrics):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in ("calls", "self_s")):
+            names.update(_span_keys(node.slice, loops))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Attribute)
+              and node.func.value.attr == "_ids"):
+            names.add(ast.literal_eval(node.args[0]))
+    hooks = next(n.value for n in ast.walk(funcs["_hooks"]) if isinstance(n, ast.Return))
+    names.update(ast.literal_eval(k) for k in hooks.keys)
+    # one name from each place the names are read
+    assert {"semigroup.construct", "symmetry.supersymmetric_gaps", "render.render_svg",
+            "semimodule.is_lean"} <= names
+
+    original = {span: name for name, span in tables["RENAMED"].items()}
+    methods = {span for *_, span in tables["METHODS"]}
+    missing = []
+    for span in sorted(names - methods):
+        layer, _, func = original.get(span, span).partition(".")
+        mod = importlib.import_module(f"gapsym.{layer}") if layer in tables["LAYERS"] else None
+        fn = vars(mod).get(func) if mod else None
+        if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                and not func.startswith("_") and not inspect.isgeneratorfunction(fn)):
+            missing.append(span)
     assert missing == []
