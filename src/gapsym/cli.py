@@ -338,18 +338,20 @@ def cmd_reconstruct(args):
 def cmd_survey(args):
     results = run_survey(args.max_beta, args.checks.split(","))
 
+    def listed(findings, limit, mark, noun):
+        # the first `limit` findings, then a count of the rest
+        yield from (mark + f for f in findings[:limit])
+        if len(findings) > limit:
+            yield f"  ... and {len(findings) - limit} more {noun}"
+
     def lines():
         for res in results:
             yield (
                 f"{res.name}: pairs={res.pairs} violations={len(res.violations)} "
                 f"warnings={len(res.warnings)}"
             )
-            for v in res.violations[:20]:
-                yield f"  VIOLATION {v}"
-            for w in res.warnings[:10]:
-                yield f"  warning: {w}"
-            if len(res.warnings) > 10:
-                yield f"  ... and {len(res.warnings) - 10} more warnings"
+            yield from listed(res.violations, 20, "  VIOLATION ", "violations")
+            yield from listed(res.warnings, 10, "  warning: ", "warnings")
 
     return _output(args, None, lines), 1 if any(res.violations for res in results) else 0
 

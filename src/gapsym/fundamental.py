@@ -3,7 +3,6 @@ subset of its gaps."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import NamedTuple
 
@@ -130,8 +129,7 @@ def red_equivalence(T: TwoGen, g: int, d=None) -> RedChecks:
     )
 
 
-@dataclass(frozen=True)
-class CountComparison:
+class CountComparison(NamedTuple):
     """|SG u SSG| against |FG|, with the closed count of `_fundamental_count`
     for multiplicity 2."""
 

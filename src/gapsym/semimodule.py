@@ -12,8 +12,8 @@ the two can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import EmptyInput, PrincipalModule
 from .semigroup import NumericalSemigroup, _bits, _minimal
@@ -191,8 +191,7 @@ def dual(delta: GammaSemimodule) -> GammaSemimodule:
     return make_semimodule(delta.base, dual_generators(delta))
 
 
-@dataclass(frozen=True)
-class LeanCouple:
+class LeanCouple(NamedTuple):
     """Staircase-path data of a semimodule over a two-generator base.
 
     es_turns are the lattice points of the nonzero minimal generators
@@ -303,8 +302,7 @@ def is_symmetric_sm(delta: GammaSemimodule) -> bool:
     return m == ~rev & ((1 << cd) - 1)
 
 
-@dataclass(frozen=True)
-class PicardOrbit:
+class PicardOrbit(NamedTuple):
     """Iterates of normalize(syzygy(.)) until a repeat or the step cap."""
 
     states: tuple

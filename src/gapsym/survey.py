@@ -14,8 +14,8 @@ at odd alpha is downgraded to a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import GapsymError, InconsistentInput
 from .fundamental import _fundamental_count, compare_counts, red_equivalence
@@ -30,12 +30,14 @@ from .symmetry import (
 )
 from .wilf import zero_wilf_equivalences
 
-@dataclass
-class CheckResult:
+
+class CheckResult(NamedTuple):
+    """One check over a sweep: the pairs it saw and its labeled findings."""
+
     name: str
-    pairs: int = 0
-    violations: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    pairs: int
+    violations: list
+    warnings: list
 
 
 def coprime_pairs(max_beta: int):
@@ -158,8 +160,11 @@ def run_survey(max_beta: int, checks=("all",)):
     if bad:
         raise InconsistentInput(f"unknown checks {bad}; choose from {CHECK_NAMES + ('all',)}")
     names = list(CHECK_NAMES) if "all" in checks else [c for c in CHECK_NAMES if c in checks]
-    results = {name: CheckResult(name) for name in names}
+    # each check's findings by kind; every check sees every pair
+    found = {name: {"violations": [], "warnings": []} for name in names}
+    pairs = 0
     for alpha, beta in coprime_pairs(max_beta):
+        pairs += 1
         S = NumericalSemigroup([alpha, beta])
         T = S.two_gen()
         # both callables are read only in this iteration, so the lambdas
@@ -169,11 +174,10 @@ def run_survey(max_beta: int, checks=("all",)):
         modules = _once(lambda: {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()})
         label = f"({alpha},{beta}) "
         for name in names:
-            res = results[name]
-            res.pairs += 1
+            filed = found[name]
             try:
                 for kind, message in _CHECKS[name](T, blocks, modules):
-                    getattr(res, kind).append(label + message)
+                    filed[kind].append(label + message)
             except GapsymError as exc:
-                res.violations.append(label + str(exc))
-    return [results[name] for name in names]
+                filed["violations"].append(label + str(exc))
+    return [CheckResult(name, pairs, **found[name]) for name in names]

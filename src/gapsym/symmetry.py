@@ -10,8 +10,8 @@ the whole gap lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
 from .semigroup import NumericalSemigroup, TwoGen
@@ -111,8 +111,7 @@ def border_transport(T: TwoGen):
     return side, lhs, rhs
 
 
-@dataclass(frozen=True)
-class GapPartition:
+class GapPartition(NamedTuple):
     """The five disjoint blocks covering every gap cell."""
 
     t_u: frozenset
@@ -348,8 +347,7 @@ def infer_semigroup(values, max_beta: int):
     return matches[0]
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(NamedTuple):
     """Printed-sum cardinalities next to direct cell counts, and the
     corrected upper-triangle sum."""
 
@@ -410,8 +408,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     )
 
 
-@dataclass(frozen=True)
-class GapClass:
+class GapClass(NamedTuple):
     """Gaps sharing the conductor of their [0, g] module."""
 
     conductor: int

@@ -8,7 +8,6 @@ of the two syzygy generators is smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NotAGap
@@ -16,8 +15,7 @@ from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import _gap_module, is_fixed_point, is_selfdual, is_symmetric_sm
 
 
-@dataclass(frozen=True)
-class WilfReport:
+class WilfReport(NamedTuple):
     """Wilf number together with the quantities it was assembled from."""
 
     w: int

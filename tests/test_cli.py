@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import io
 import json
@@ -381,7 +380,7 @@ def _drop_first_cell(triangle):
         ("equifix", wilf, "is_symmetric_sm", lambda d: True),
         ("red", survey, "red_equivalence", lambda T, g, d=None: RedChecks(True, False, True)),
         ("cardinality", survey, "card_formulas",
-         lambda T: dataclasses.replace(symmetry.card_formulas(T), t_u_corrected=-1)),
+         lambda T: symmetry.card_formulas(T)._replace(t_u_corrected=-1)),
         ("uff", survey, "_fundamental_count", lambda T: -1),
     ],
 )
@@ -397,20 +396,20 @@ def test_survey_violation_exits_1(monkeypatch, capsys, check, owner, name, fake)
 
 def _ssg_formula_off_by_one(T):
     rep = symmetry.card_formulas(T)
-    return dataclasses.replace(rep, ssg_formula=rep.ssg_formula + 1)
+    return rep._replace(ssg_formula=rep.ssg_formula + 1)
 
 
 @pytest.mark.parametrize(
     "check, name, fake, message",
     [
         ("partition", "gap_partition",
-         lambda T: dataclasses.replace(symmetry.gap_partition(T), t_u=frozenset()),
+         lambda T: symmetry.gap_partition(T)._replace(t_u=frozenset()),
          r"block sizes miss the genus"),
         ("partition", "rectangle_cells", lambda T: symmetry.rectangle_cells(T) - {(1, 1)},
          r"gap \d+ rectangle mismatch"),
         ("reconstruct", "reconstruct_from_symmetric", lambda *args: [], r"reconstruction differs"),
         ("uff", "compare_counts",
-         lambda T: dataclasses.replace(fundamental.compare_counts(T), inequality_holds=False),
+         lambda T: fundamental.compare_counts(T)._replace(inequality_holds=False),
          r"\|SG u SSG\|=\d+ > \|FG\|=\d+"),
         ("cardinality", "card_formulas", _ssg_formula_off_by_one, r"SSG formula \d+ != \d+"),
     ],
@@ -421,6 +420,18 @@ def test_survey_files_each_violation_message(monkeypatch, capsys, check, name, f
     assert main(["survey", "--max-beta", "8", "--checks", check]) == 1
     out = capsys.readouterr().out
     assert re.search(rf"\n  VIOLATION \(\d+,\d+\) {message}\n", out), out
+
+
+def test_survey_text_counts_the_violations_it_cuts(monkeypatch, capsys):
+    # text output lists the first 20 violations of a check and counts the rest
+    findings = [("violations", f"finding {i}") for i in range(25)] + [("warnings", "w")]
+    monkeypatch.setitem(survey._CHECKS, "partition", lambda T, blocks, modules: iter(findings))
+    assert main(["survey", "--max-beta", "3", "--checks", "partition"]) == 1
+    assert capsys.readouterr().out == "".join(
+        ["partition: pairs=1 violations=25 warnings=1\n"]
+        + [f"  VIOLATION (2,3) finding {i}\n" for i in range(20)]
+        + ["  ... and 5 more violations\n", "  warning: (2,3) w\n"]
+    )
 
 
 def test_survey_lets_other_errors_propagate(monkeypatch):
@@ -488,16 +499,27 @@ def _in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _fresh_process(argv):
+def _fresh_process(argv, code="import sys; from gapsym.cli import main; sys.exit(main(sys.argv[1:]))"):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from gapsym.cli import main; sys.exit(main(sys.argv[1:]))",
-         *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the result records are NamedTuples, so starting the CLI compiles no
+    # dataclass methods and loads none of the modules `dataclasses` needs
+    code, out, err = _fresh_process([], (
+        "import sys; before = set(sys.modules); import gapsym.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    ))
+    assert (code, err) == (0, "")
+    loaded = out.split()
+    assert "gapsym.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path):
@@ -733,7 +755,7 @@ def test_conductor_sym_files_off_lattice_cells_as_mismatches(monkeypatch):
         part = real(T)
         if (T.alpha, T.beta) != (3, 5):
             return part
-        return dataclasses.replace(part, t_u=part.t_u | {(3, 1)}, t_r=part.t_r | {(1, 3)})
+        return part._replace(t_u=part.t_u | {(3, 1)}, t_r=part.t_r | {(1, 3)})
 
     monkeypatch.setattr(survey, "gap_partition", skewed)
     (res,) = run_survey(7, ["conductor-sym"])

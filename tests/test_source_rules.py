@@ -231,6 +231,19 @@ def test_only_semimodule_builds_modules():
     assert found == []
 
 
+def test_no_dataclasses_import_in_src():
+    # result records are NamedTuples: a dataclass compiles its methods at
+    # import, and `dataclasses` loads `inspect`, `ast` and `dis` with it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_no_contains_call_in_a_loop():
     # each S.contains shifts the whole membership int, so a loop of them
     # costs the conductor per step; a loop tests against a gap set instead
