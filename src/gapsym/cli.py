@@ -194,9 +194,7 @@ def cmd_analyze(args):
         ],
         "sg": {"side": side, "cells": _row_major(sg), "values": cell_values(T, sg)},
         "ssg": {"cells": _row_major(ssg), "values": cell_values(T, ssg)},
-        "partition": dict(
-            zip(("t_u", "s_alpha_t_u", "ssg", "t_r", "s_beta_t_r"), part.block_sizes())
-        ),
+        "partition": dict(zip(part._fields, part.block_sizes())),
         "fg": list(fg),
         "counts": {"sg_ssg": n_sym, "fg": n_fg},
     }
@@ -362,15 +360,7 @@ def cmd_classes(args):
     classes = gap_conductor_partition(S)
     report = {
         "gens": list(S.generators),
-        "classes": [
-            {
-                "conductor": c.conductor,
-                "members": list(c.members),
-                "pairs": [list(p) for p in c.pairs],
-                "self_symmetric": c.self_symmetric,
-            }
-            for c in classes
-        ],
+        "classes": [c._asdict() for c in classes],
     }
 
     def lines():

@@ -9,7 +9,6 @@ immutable after construction.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
 from operator import index
 
@@ -31,7 +30,7 @@ class NumericalSemigroup:
             raise EmptyInput("need at least one generator")
         if gens[0] <= 0:
             raise EmptyInput("generators must be positive")
-        if reduce(gcd, gens) != 1:
+        if gcd(*gens) != 1:
             raise GcdNotOne(f"gcd of {gens} is not 1")
 
         # Schur bound: conductor <= (m-1)(max-1), so every integer from this
@@ -180,6 +179,7 @@ class TwoGen:
     def semigroup(self) -> NumericalSemigroup:
         if self._semigroup is None:
             self._semigroup = NumericalSemigroup([self.alpha, self.beta])
+            self._semigroup._twogen = self
         return self._semigroup
 
     def value(self, a: int, b: int) -> int:

@@ -291,15 +291,16 @@ def is_selfdual(delta: GammaSemimodule) -> bool:
 
 
 def is_symmetric_sm(delta: GammaSemimodule) -> bool:
-    """Whether x is a member iff conductor - 1 - x is not, below the conductor."""
-    cd = delta.conductor
-    if cd == 0:
-        return True
-    m = delta._mask & ((1 << cd) - 1)
-    # the leading 1 keeps m's cd digits, leading zeros too; the slice drops
-    # it with the "0b" prefix and reverses the rest
-    rev = int(bin(m | 1 << cd)[:2:-1], 2)
-    return m == ~rev & ((1 << cd) - 1)
+    """Whether x is a member iff conductor - 1 - x is not, below the conductor.
+
+    The gap mask has exactly c = conductor bits, and the slice drops "0b"
+    and reverses them.  The module is symmetric exactly when the reversed
+    mask is gaps ^ (2^c - 1); as both lie in [0, 2^c), that is their sum
+    being 2^c - 1, because a + b = 2^c - 1 forces b = a ^ (2^c - 1).
+    Conductor 0 gives 0 + 0 == 0.
+    """
+    gaps = ~delta._mask
+    return gaps + int(bin(gaps)[:1:-1], 2) == (1 << delta.conductor) - 1
 
 
 class PicardOrbit(NamedTuple):

@@ -3,17 +3,18 @@
 Each check replays one structural fact on one pair and yields unlabeled
 `(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
 labels each with its pair and files it.  A check reads the pair's derived
-objects through two callables made by `_once`, which builds on the first
-call and keeps the outcome for the pair: `blocks()` gives the verified
-partition, and a failed build is kept and raised again to each later
-caller; `modules()` gives the module [0, g] of every gap of the pair, built
-in one walk of its gap cells.  A pair whose checks never call one builds
-nothing for it.  The known printed-sum undercount for the upper triangle
-at odd alpha is downgraded to a warning.
+objects through two `functools.cache` callables, each built on its first
+call and kept for the pair: `blocks()` gives the verified partition, and
+`modules()` gives the module [0, g] of every gap of the pair, built in one
+walk of its gap cells.  A failed build is not kept, so each check that
+reads it builds it again and gets the same error.  A pair whose checks
+never call one builds nothing for it.  The known printed-sum undercount for
+the upper triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 from typing import NamedTuple
 
@@ -116,24 +117,6 @@ def _check_conductor_sym(T, blocks, modules):
             yield "violations", f"row {b} conductor mismatch"
 
 
-def _once(build):
-    """A callable that calls `build` on its first call and, on every call,
-    returns what it returned or raises again the GapsymError it raised."""
-    outcome = []
-
-    def get():
-        if not outcome:
-            try:
-                outcome.append(build())
-            except GapsymError as exc:
-                outcome.append(exc)
-        if isinstance(outcome[0], GapsymError):
-            raise outcome[0]
-        return outcome[0]
-
-    return get
-
-
 _CHECKS = {
     "partition": _check_partition,
     "reconstruct": _check_reconstruct,
@@ -170,8 +153,8 @@ def run_survey(max_beta: int, checks=("all",)):
         # both callables are read only in this iteration, so the lambdas
         # see this pair's T and S; the module table maps the cell (a, b) of
         # each gap g to [0, g], in one walk and in the order of `T.walk`
-        blocks = _once(lambda: gap_partition(T))
-        modules = _once(lambda: {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()})
+        blocks = cache(lambda: gap_partition(T))
+        modules = cache(lambda: {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()})
         label = f"({alpha},{beta}) "
         for name in names:
             filed = found[name]

@@ -120,11 +120,8 @@ class GapPartition(NamedTuple):
     t_r: frozenset
     s_beta_t_r: frozenset
 
-    def blocks(self):
-        return (self.t_u, self.s_alpha_t_u, self.ssg, self.t_r, self.s_beta_t_r)
-
     def block_sizes(self):
-        return tuple(len(b) for b in self.blocks())
+        return tuple(map(len, self))
 
 
 def rectangle_cells(T: TwoGen) -> frozenset:
@@ -145,8 +142,7 @@ def gap_partition(T: TwoGen) -> GapPartition:
     ssg = self_symmetric_gaps(T)
     part = GapPartition(tu, reflect_alpha(T, tu), ssg, tr, reflect_beta(T, tr))
     lg = _row_cells(T, range(1, T.alpha))
-    blocks = part.blocks()
-    if frozenset().union(*blocks) != lg or sum(map(len, blocks)) != len(lg):
+    if frozenset().union(*part) != lg or sum(map(len, part)) != len(lg):
         raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
     rect = rectangle_cells(T)
     if part.s_alpha_t_u | part.ssg | part.s_beta_t_r != rect:

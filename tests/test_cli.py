@@ -721,14 +721,15 @@ def test_fundamental_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
     assert len(calls) == 1
 
 
-def test_survey_builds_a_failing_partition_once(monkeypatch):
-    # a pair whose partition fails keeps the error and raises it again to
-    # each check that reads it; the findings are the ones filed when every
-    # such check rebuilt the partition
+def test_survey_rebuilds_a_failing_partition_for_each_reader(monkeypatch):
+    # a pair whose partition builds is built once; a pair whose partition
+    # fails keeps no error, so each of the three checks that read it builds
+    # it again and files the same violation: 14 pairs plus 11 broken pairs
+    # times 2 more readers
     monkeypatch.setattr(symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u))
     calls = _count_calls(monkeypatch, symmetry, "gap_partition")
     results = run_survey(8)
-    assert len(calls) == 14
+    assert len(calls) == 36
     broken = [(3, 4), (3, 5), (4, 5), (5, 6), (3, 7), (4, 7), (5, 7), (6, 7), (3, 8), (5, 8), (7, 8)]
     failed = [f"({a},{b}) blocks do not partition the gap lattice of TwoGen({a}, {b})" for a, b in broken]
     odd = [(3, 4, 0, 1), (3, 5, 0, 1), (5, 6, 1, 3), (3, 7, 0, 2), (5, 7, 1, 3), (3, 8, 0, 2), (5, 8, 1, 4),

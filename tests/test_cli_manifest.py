@@ -6,7 +6,13 @@ The manifest pins stdout (by sha256), stderr and the exit code of each argv;
 
 import json
 
-from make_cli_manifest import COLUMNS, MANIFEST, digest, run
+from make_cli_manifest import COLUMNS, MANIFEST, corpus, digest, run
+
+
+def test_manifest_holds_the_corpus_in_order():
+    # an edit to the corpus that is never regenerated fails here
+    entries = json.loads(MANIFEST.read_text())
+    assert [(e["argv"], e.get("input")) for e in entries] == corpus()
 
 
 def test_every_manifest_run_is_byte_identical(monkeypatch):

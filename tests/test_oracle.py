@@ -101,6 +101,12 @@ def test_enumerate_semigroups_by_genus():
     assert gens[(1, 3)] == (2, 5)
     assert gens[(1, 2)] == (3, 4, 5)
 
+    # n_g for g = 0..16, as in Bras-Amoros, Semigroup Forum 76 (2008)
+    by_genus = [0] * 17
+    for S in enumerate_semigroups_by_genus(16):
+        by_genus[S.genus] += 1
+    assert by_genus == [1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806]
+
 
 def test_enumerated_semigroups_match_fresh_construction():
     for S in enumerate_semigroups_by_genus(7):

@@ -198,6 +198,13 @@ def test_two_gen_from_semigroup():
     assert T.semigroup() is not None
 
 
+def test_two_gen_and_semigroup_link_both_ways():
+    T = TwoGen(5, 7)
+    assert T.semigroup().two_gen() is T
+    S = NumericalSemigroup([5, 7])
+    assert S.two_gen().semigroup() is S
+
+
 def _reference_construction(generators):
     """(generators, conductor, gaps, table) by the quadratic sieve and the
     sum-set reduction that NumericalSemigroup used before the doubling
