@@ -22,8 +22,7 @@ for g in S.gaps:
     d = make_semimodule(S, [0, g])
     syz = syzygy_generators(d)
     norm = list(syzygy(d).min_generators)
-    w = 2 * d.delta - d.conductor
-    print(f"{str([0, g]):>8} {str(syz):>14} {str(norm):>12} {w:>5}")
+    print(f"{str([0, g]):>8} {str(syz):>14} {str(norm):>12} {d.wilf:>5}")
 
 # For two generators, Wilf number zero forces a fixed point of the
 # normalize-after-syzygy map.  With three generators that breaks:
@@ -39,7 +38,7 @@ for g, _, fixed, _, _ in zero_wilf_survey_general(make_semigroup([10, 14, 29])):
 # a fixed point either:
 d = make_semimodule(make_semigroup([5, 8]), [0, 4, 6, 7])
 print(f"\n<5,8> module {list(d.min_generators)}: "
-      f"Wilf {d.ed * d.delta - d.conductor}, fixed point {is_fixed_point(d)}")
+      f"Wilf {d.wilf}, fixed point {is_fixed_point(d)}")
 
 # Gaps sharing the conductor of their [0,g] module generalize the
 # reflection pairing; unpaired members of odd classes are self-symmetric.

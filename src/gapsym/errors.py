@@ -36,9 +36,9 @@ class BoundTooSmall(GapsymError):
 class Ambiguous(GapsymError):
     """A search produced more than one admissible answer."""
 
-    def __init__(self, message, matches=None):
+    def __init__(self, message, matches):
         super().__init__(message)
-        self.matches = list(matches) if matches is not None else []
+        self.matches = list(matches)
 
 
 class InconsistentInput(GapsymError):

@@ -78,6 +78,7 @@ class GammaSemimodule:
 
 def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     """Normalize a generating set and reduce it to the minimal lean system."""
+    generators = tuple(generators)  # read once: it may be a one-shot iterator
     if not generators:
         raise EmptyInput("need at least one generator")
     base = min(generators)
@@ -272,6 +273,15 @@ def is_fixed_point(delta: GammaSemimodule) -> bool:
     The scanned generators are minimal and stay minimal under the shift by
     -s0, so they are the generators of the normalized syzygy module, which
     is never built.
+
+    For d = [0, g] over any base S this agrees with `is_selfdual`.  The
+    syzygy module is S n (g + S) and the dual is S n (S - g), and y is in
+    g + (S n (S - g)) exactly when y - g and y are in S, that is when y is
+    in S n (g + S).  So the syzygy module is the dual shifted up by g, its
+    minimal generators are the dual's shifted up by g (`_syzygy_mask(d) ==
+    _dual_mask(d) << g`), and one is a translate of d exactly when the other
+    is.  With three generators the two can differ: over <4, 5, 6> the module
+    {0, 2, 3} is selfdual but not a fixed point.
     """
     if delta.ed < 2:
         raise PrincipalModule("fixed points are defined via the syzygy module")
@@ -286,6 +296,8 @@ def is_selfdual(delta: GammaSemimodule) -> bool:
     in `is_fixed_point`, the mask of the scanned generators is compared with
     the mask of the generators shifted up by the least of them: a shift keeps
     them minimal, so they are the generators of the normalized dual module.
+    A module with two generators is selfdual exactly when it is a fixed
+    point; the proof is in `is_fixed_point`.
     """
     return _is_translate(_dual_mask(delta), delta)
 

@@ -33,8 +33,8 @@ def wilf_gap(S: NumericalSemigroup, g: int) -> int:
 
 
 def _wilf_number(T: TwoGen, a: int, b: int) -> int:
-    """Closed-form Wilf number of the cell (a, b), which is not checked to be
-    a gap cell: the branch of `wilf_gap_formula`, as a plain int."""
+    """Closed-form Wilf number 2ab - min(a*alpha, b*beta) of the cell (a, b),
+    which is not checked to be a gap cell; `wilf_gap_formula` reads it."""
     if b * T.beta > a * T.alpha:
         return 2 * a * b - a * T.alpha
     return 2 * a * b - b * T.beta
@@ -43,27 +43,23 @@ def _wilf_number(T: TwoGen, a: int, b: int) -> int:
 def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:
     """Closed form for the gap at cell (a, b) of a two-generator semigroup.
 
-    The two syzygy generators of [0, g] are h0 = alpha*beta - b*beta and
-    h1 = alpha*beta - a*alpha; the smaller one selects the branch:
-    -W = a*alpha - 2ab when h0 is smaller, -W = b*beta - 2ab otherwise.
+    The two syzygy generators of [0, g] are alpha*beta - b*beta and
+    alpha*beta - a*alpha.  The larger, alpha*beta - min(a*alpha, b*beta),
+    less alpha + beta - 1 is the conductor, (alpha-1)(beta-1) - min(a*alpha,
+    b*beta).  W = 2ab - min(a*alpha, b*beta) (`_wilf_number`) holds the same
+    minimum, so the conductor is T.conductor - (2ab - W).  The branch names
+    the smaller syzygy generator: "beta_term", alpha*beta - b*beta, exactly
+    when b*beta > a*alpha.
     """
     T.lattice_to_gap(a, b)  # raises OutOfTriangle off the gap lattice
-    h0 = T.product - b * T.beta
-    h1 = T.product - a * T.alpha
     w = _wilf_number(T, a, b)
-    if h0 < h1:
-        branch = "beta_term"
-        m = h1
-    else:
-        branch = "alpha_term"
-        m = h0
-    conductor = m - T.alpha - T.beta + 1
+    conductor = T.conductor - (2 * a * b - w)
     return WilfReport(
         w=w,
         ed=2,
         delta=(w + conductor) // 2,
         conductor=conductor,
-        min_branch=branch,
+        min_branch="beta_term" if b * T.beta > a * T.alpha else "alpha_term",
     )
 
 

@@ -7,6 +7,7 @@ from gapsym import (
     gap_order_leq,
     make_semigroup,
     make_semimodule,
+    syzygy_generators,
     triangle_r,
     triangle_u,
     wilf_gap,
@@ -24,8 +25,12 @@ def test_formula_matches_definition_up_to_30():
         T = TwoGen(alpha, beta)
         S = T.semigroup()
         for a, b, g in T.lattice_gaps():
-            assert wilf_gap_formula(T, a, b).w == wilf_gap(S, g)
-            assert wilf_gap(S, g) == make_semimodule(S, [0, g]).wilf
+            rep = wilf_gap_formula(T, a, b)
+            d = make_semimodule(S, [0, g])
+            assert rep.w == wilf_gap(S, g)
+            assert (rep.w, rep.conductor, rep.delta) == (d.wilf, d.conductor, d.delta)
+            beta_term = min(syzygy_generators(d)) == T.product - b * T.beta
+            assert (rep.min_branch == "beta_term") == beta_term, (alpha, beta, g)
 
 
 def test_reflection_antisymmetry():

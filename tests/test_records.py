@@ -15,8 +15,7 @@ def _module():
     return make_semimodule(NumericalSemigroup([5, 7]), [0, 9, 11, 8])
 
 
-# (build, fields in order, repr); each repr was read off the records when
-# they were frozen dataclasses
+# (build, fields in order, pinned repr)
 RECORDS = {
     "WilfReport": (
         lambda: wilf_gap_formula(TwoGen(5, 7), 1, 1),

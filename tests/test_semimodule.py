@@ -25,9 +25,15 @@ from gapsym import (
     syzygy,
     syzygy_generators,
 )
-from gapsym.oracle import brute_dual, enumerate_lean_sets
+from gapsym.oracle import brute_dual, enumerate_lean_sets, enumerate_semigroups_by_genus
 from gapsym.semigroup import _bits, _minimal
-from gapsym.semimodule import PICARD_MAX_STEPS, _dual_generators_scan
+from gapsym.semimodule import (
+    PICARD_MAX_STEPS,
+    _dual_generators_scan,
+    _dual_mask,
+    _gap_module,
+    _syzygy_mask,
+)
 from gapsym.survey import coprime_pairs
 
 S57 = make_semigroup([5, 7])
@@ -40,11 +46,16 @@ def test_make_semimodule_keeps_lean_input():
     d = make_semimodule(S57, [0, 9, 11, 8])
     assert d.min_generators == (0, 9, 11, 8)  # ordered along the staircase
     assert d.ed == 4
+    # a one-shot iterator: the least generator and the OR loop see the same
+    # generators
+    assert make_semimodule(S57, iter([0, 9, 11, 8])).min_generators == (0, 9, 11, 8)
 
 
 def test_make_semimodule_needs_a_generator():
     with pytest.raises(EmptyInput, match="^need at least one generator$"):
         make_semimodule(make_semigroup([3, 5]), [])
+    with pytest.raises(EmptyInput, match="^need at least one generator$"):
+        make_semimodule(S57, iter([]))
 
 
 def test_make_semimodule_normalizes_and_minimalizes():
@@ -172,8 +183,26 @@ def test_fixed_selfdual_symmetric():
     assert not is_fixed_point(d)
     assert not is_symmetric_sm(d)
 
+    # three generators: selfdual without being a fixed point
+    d = make_semimodule(make_semigroup([4, 5, 6]), [0, 2, 3])
+    assert d.min_generators == (0, 2, 3)
+    assert is_selfdual(d) and not is_fixed_point(d)
+
     with pytest.raises(PrincipalModule):
         is_fixed_point(make_semimodule(S57, [0]))
+
+
+def test_two_generator_syzygy_is_the_dual_shifted_up():
+    # [0, g] over any base: S n (g + S) = g + (S n (S - g)), so the module
+    # is a fixed point exactly when it is selfdual; every gap up to genus 14
+    gaps = 0
+    for S in enumerate_semigroups_by_genus(14):
+        for g in S.gaps:
+            d = _gap_module(S, g)
+            assert _syzygy_mask(d) == _dual_mask(d) << g, (S.generators, g)
+            assert is_fixed_point(d) == is_selfdual(d), (S.generators, g)
+            gaps += 1
+    assert gaps == 51746
 
 
 def test_whole_semigroup_is_selfdual_and_symmetric():

@@ -334,6 +334,7 @@ def test_card_direct_vs_brute_cells():
         rep = card_formulas(T)
         assert rep.t_u_direct == tu and rep.t_r_direct == tr
         assert rep.ssg_formula == rep.ssg_direct
+        assert rep.t_r_formula == rep.t_r_direct
 
 
 def test_corrected_upper_triangle_sum():
