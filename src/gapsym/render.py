@@ -6,20 +6,22 @@ of each cell and its Wilf number at the top, and toggleable shaded layers
 for the triangles, the doubling rectangle, the symmetric sets and the
 fundamental gaps.  Output bytes depend only on the inputs: integer
 coordinates, fixed ordering, no timestamps.
+
+The per-cell elements are written one lattice row at a time: each label and
+shaded cell is joined from its column's x prefix and its row's y text, each
+built once, so no f-string runs per cell.  The labels read each row's values
+and Wilf numbers as ranges (`wilf._wilf_rows`).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import InconsistentInput
 from .fundamental import fundamental_cells
 from .semigroup import TwoGen
-from .symmetry import (
-    _smaller_triangle,
-    self_symmetric_gaps,
-    triangle_r,
-    triangle_u,
-    wilf_grid,
-)
+from .symmetry import _row_major, _smaller_triangle, self_symmetric_gaps, triangle_r, triangle_u
+from .wilf import _wilf_rows
 
 LAYERS = ("grid", "diagonal", "values", "wilf", "triangles", "rectangle", "sg", "ssg", "fg")
 
@@ -37,13 +39,11 @@ CELL = 40
 
 def _cell_rects(T: TwoGen, cells, color, opacity):
     """One filled <rect> per cell, in the row-major order of `TwoGen.walk`."""
-    top = T.alpha * CELL
     tail = f'" width="{CELL}" height="{CELL}" fill="{color}" fill-opacity="{opacity}"/>'
-    # sorting (-b, a) puts b descending, then a ascending; y = (alpha - b) * CELL
-    return [
-        f'<rect x="{(a - 1) * CELL}" y="{top + nb * CELL}{tail}'
-        for nb, a in sorted((-b, a) for a, b in cells)
-    ]
+    # x prefixes indexed by column a, y strings by row b
+    xs = [f'<rect x="{(a - 1) * CELL}" y="' for a in range(T.row_length(1) + 1)]
+    ys = [f'{(T.alpha - b) * CELL}{tail}' for b in range(T.alpha)]
+    return [xs[a] + ys[b] for a, b in _row_major(cells)]
 
 
 def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
@@ -87,22 +87,20 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
     if "diagonal" in layers:
         el.append(f'<line x1="0" y1="0" x2="{width}" y2="{height}" stroke="black" stroke-width="2"/>')
     if "values" in layers or "wilf" in layers:
-        cells = wilf_grid(T)
-        labels = []
-        if "values" in layers:
-            labels.append([
-                f'<text x="{(a - 1) * CELL + 3}" y="{height - b * CELL + CELL - 4}" font-size="12" '
-                f'font-family="monospace">{value}</text>'
-                for a, b, value, _ in cells
-            ])
-        if "wilf" in layers:
-            labels.append([
-                f'<text x="{a * CELL - 3}" y="{height - b * CELL + 12}" font-size="10" '
-                f'font-family="monospace" text-anchor="end">{w}</text>'
-                for a, b, _, w in cells
-            ])
-        # one element per cell holding its labels, which the final join
-        # separates by newlines as if each were an element of its own
-        el += map("\n".join, zip(*labels))
+        # one element per cell, each label joined from its column's x prefix,
+        # its row's y and font text, and its number; after a values label the
+        # wilf prefix closes it and starts a line of its own
+        columns = range(1, T.row_length(1) + 1)
+        close = "</text>\n" if "values" in layers else ""
+        vx = [f'<text x="{(a - 1) * CELL + 3}" y="' for a in columns]
+        wx = [f'{close}<text x="{a * CELL - 3}" y="' for a in columns]
+        for b, values, wilf in _wilf_rows(T):
+            y = height - b * CELL
+            pieces = []
+            if "values" in layers:
+                pieces += vx, repeat(f'{y + CELL - 4}" font-size="12" font-family="monospace">'), map(str, values)
+            if "wilf" in layers:
+                pieces += wx, repeat(f'{y + 12}" font-size="10" font-family="monospace" text-anchor="end">'), map(str, wilf)
+            el += map("".join, zip(*pieces, repeat("</text>")))
     el.append("</svg>")
     return "\n".join(el) + "\n"

@@ -8,6 +8,7 @@ of the two syzygy generators is smaller.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import NotAGap
@@ -38,6 +39,28 @@ def _wilf_number(T: TwoGen, a: int, b: int) -> int:
     if b * T.beta > a * T.alpha:
         return 2 * a * b - a * T.alpha
     return 2 * a * b - b * T.beta
+
+
+def _wilf_rows(T: TwoGen):
+    """Yield (b, values, wilf) for each row b of the gap lattice, b descending:
+    the gap values and Wilf numbers of the cells (1, b) .. (n, b), n =
+    `T.row_length(b)`, as ranges.
+
+    `_wilf_number` takes the first branch exactly when a*alpha < b*beta.  As
+    alpha does not divide b*beta for 0 < b < alpha, that is a <= b*beta //
+    alpha, so with k = min(n, b*beta // alpha), W = a(2b - alpha) for a <= k
+    and W = b(2a - beta) for a > k.  A row with alpha = 2b has step 0 there,
+    which a range cannot take, and reads k zeros.
+    """
+    alpha, beta = T.alpha, T.beta
+    for b in range(alpha - 1, 0, -1):
+        n = T.row_length(b)
+        k = min(n, b * beta // alpha)
+        s = 2 * b - alpha
+        first = range(s, s * (k + 1), s) if s else repeat(0, k)
+        yield b, range(T.product - b * beta - alpha, 0, -alpha), chain(
+            first, range(b * (2 * k + 2 - beta), b * (2 * n + 2 - beta), 2 * b)
+        )
 
 
 def wilf_gap_formula(T: TwoGen, a: int, b: int) -> WilfReport:

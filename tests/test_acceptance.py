@@ -31,6 +31,7 @@ from gapsym import (
     syzygy_generators,
     wilf_gap,
     wilf_gap_formula,
+    wilf_grid,
     zero_wilf_survey_general,
 )
 from gapsym.cli import main as cli_main
@@ -105,6 +106,9 @@ def test_criterion_02_wilf_grid_813():
         T = TwoGen(8, 13)
         S = T.semigroup()
         assert len(GRID_813) == 42 == T.genus
+        grid = wilf_grid(T)
+        assert {(a, b): (g, w) for a, b, g, w in grid} == GRID_813
+        assert [(a, b) for a, b, _, _ in grid] == [(a, b) for a, b, _ in T.walk()]
         for (a, b), (g, w) in GRID_813.items():
             assert T.lattice_to_gap(a, b) == g
             assert wilf_gap_formula(T, a, b).w == w

@@ -319,7 +319,9 @@ def test_card_formulas():
 
 
 def test_card_direct_vs_brute_cells():
-    # direct triangle counts against a from-scratch double loop
+    # direct triangle counts against a from-scratch double loop; the only
+    # warning left is the printed upper-triangle sum's, 678 of them to beta 60
+    warned = 0
     for alpha, beta in coprime_pairs(60):
         T = TwoGen(alpha, beta)
         tu = tr = 0
@@ -335,6 +337,9 @@ def test_card_direct_vs_brute_cells():
         assert rep.t_u_direct == tu and rep.t_r_direct == tr
         assert rep.ssg_formula == rep.ssg_direct
         assert rep.t_r_formula == rep.t_r_direct
+        assert len(rep.warnings) == (rep.t_u_formula != tu) == (not rep.agree)
+        warned += len(rep.warnings)
+    assert warned == 678
 
 
 def test_corrected_upper_triangle_sum():

@@ -7,9 +7,12 @@ from gapsym import (
     make_semimodule,
     wilf_gap,
     wilf_gap_formula,
+    wilf_grid,
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )
+from gapsym.survey import coprime_pairs
+from gapsym.wilf import _wilf_number
 
 
 def test_wilf_semimodule():
@@ -78,3 +81,25 @@ def test_formula_matches_direct_small():
     for g in S.gaps:
         a, b = T.gap_to_lattice(g)
         assert wilf_gap_formula(T, a, b).w == wilf_gap(S, g)
+
+
+def test_wilf_grid_matches_the_walk_and_the_per_cell_formula():
+    # wilf_grid reads each row's W as a range a(2b - alpha) for a <= k and
+    # b(2a - beta) after, k = min(n, b*beta // alpha); check its edge rows:
+    # alpha = 2b (step 0, every even alpha), k >= n (the second range empty)
+    # and k < n.  k = 0 never occurs, since beta > alpha gives
+    # b*beta // alpha >= b >= 1.
+    edges = {"alpha = 2b": set(), "k >= n": set(), "k < n": set()}
+    for alpha, beta in coprime_pairs(60):
+        T = TwoGen(alpha, beta)
+        want = tuple((a, b, v, _wilf_number(T, a, b)) for a, b, v in T.walk())
+        assert wilf_grid(T) == want, (alpha, beta)
+        for b in range(1, alpha):
+            n, k = T.row_length(b), min(T.row_length(b), b * beta // alpha)
+            assert k >= 1
+            if alpha == 2 * b:
+                edges["alpha = 2b"].add((alpha, beta))
+            edges["k >= n" if k >= n else "k < n"].add((alpha, beta))
+    assert {(2, 3), (4, 5), (8, 13), (58, 59)} <= edges["alpha = 2b"]
+    assert {(2, 3), (3, 4), (7, 8)} <= edges["k >= n"]
+    assert {(3, 5), (8, 13), (59, 60)} <= edges["k < n"]
