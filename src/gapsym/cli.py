@@ -334,6 +334,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_survey(args):
+    # <N-1, N> needs the widest sieve of the sweep; a bound of 1 or less has
+    # no positive pair and sweeps none
+    _check_width([args.max_beta - 1, args.max_beta])
     results = run_survey(args.max_beta, args.checks.split(","))
 
     def listed(findings, limit, mark, noun):

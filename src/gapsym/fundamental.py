@@ -115,12 +115,10 @@ class RedChecks(NamedTuple):
         return len(set(self)) == 1
 
 
-def red_equivalence(T: TwoGen, g: int, d=None) -> RedChecks:
-    """The three red predicates of the gap g; d is the module [0, g], built
-    by `_gap_module` with g's cell, when the caller has it."""
+def red_equivalence(T: TwoGen, g: int) -> RedChecks:
+    """The three red predicates of the gap g."""
     S = T.semigroup()
-    if d is None:
-        d = _gap_module(S, g, T.gap_to_lattice(g))
+    d = _gap_module(S, g, T.gap_to_lattice(g))
     a, b = d.cells[0]
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),

@@ -9,8 +9,10 @@ coordinates, fixed ordering, no timestamps.
 
 The per-cell elements are written one lattice row at a time: each label and
 shaded cell is joined from its column's x prefix and its row's y text, each
-built once, so no f-string runs per cell.  The labels read each row's values
-and Wilf numbers as ranges (`wilf._wilf_rows`).
+built once per render, so no f-string runs per cell.  The labels read each
+row's values and Wilf numbers as ranges (`wilf._wilf_rows`).  Each grid line
+is joined from its coordinate's text and fixed pieces, with no f-string per
+line.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ _FILL = {
 CELL = 40
 
 
-def _cell_rects(T: TwoGen, cells, color, opacity):
-    """One filled <rect> per cell, in the row-major order of `TwoGen.walk`."""
+def _cell_rects(T: TwoGen, rect_x, cells, color, opacity):
+    """One filled <rect> per cell, in the row-major order of `TwoGen.walk`;
+    rect_x holds the x prefix of each column a, built once per render."""
     tail = f'" width="{CELL}" height="{CELL}" fill="{color}" fill-opacity="{opacity}"/>'
-    # x prefixes indexed by column a, y strings by row b
-    xs = [f'<rect x="{(a - 1) * CELL}" y="' for a in range(T.row_length(1) + 1)]
     ys = [f'{(T.alpha - b) * CELL}{tail}' for b in range(T.alpha)]
-    return [xs[a] + ys[b] for a, b in _row_major(cells)]
+    return [rect_x[a] + ys[b] for a, b in _row_major(cells)]
 
 
 def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
@@ -60,23 +61,27 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
+    if layers & _FILL.keys():
+        # the shaded layers share the x prefixes, indexed by column a
+        rect_x = [f'<rect x="{(a - 1) * CELL}" y="' for a in range(T.row_length(1) + 1)]
     if "triangles" in layers or "sg" in layers:
         tu, tr = triangle_u(T), triangle_r(T)
     if "triangles" in layers:
-        el += _cell_rects(T, tu, _FILL["triangles"], "60%")
-        el += _cell_rects(T, tr, _FILL["triangles"], "60%")
+        el += _cell_rects(T, rect_x, tu, _FILL["triangles"], "60%")
+        el += _cell_rects(T, rect_x, tr, _FILL["triangles"], "60%")
     if "fg" in layers:
-        el += _cell_rects(T, fundamental_cells(T), _FILL["fg"], "55%")
+        el += _cell_rects(T, rect_x, fundamental_cells(T), _FILL["fg"], "55%")
     if "sg" in layers:
         _, sg = _smaller_triangle(tu, tr)
-        el += _cell_rects(T, sg, _FILL["sg"], "70%")
+        el += _cell_rects(T, rect_x, sg, _FILL["sg"], "70%")
     if "ssg" in layers:
-        el += _cell_rects(T, self_symmetric_gaps(T), _FILL["ssg"], "70%")
+        el += _cell_rects(T, rect_x, self_symmetric_gaps(T), _FILL["ssg"], "70%")
     if "grid" in layers:
-        for i in range(T.beta + 1):
-            el.append(f'<line x1="{i * CELL}" y1="0" x2="{i * CELL}" y2="{height}" stroke="#999" stroke-dasharray="3,3"/>')
-        for j in range(T.alpha + 1):
-            el.append(f'<line x1="0" y1="{j * CELL}" x2="{width}" y2="{j * CELL}" stroke="#999" stroke-dasharray="3,3"/>')
+        dash = '" stroke="#999" stroke-dasharray="3,3"/>'
+        xs = list(map(str, range(0, width + 1, CELL)))
+        el += map("".join, zip(repeat('<line x1="'), xs, repeat('" y1="0" x2="'), xs, repeat(f'" y2="{height}{dash}')))
+        ys = list(map(str, range(0, height + 1, CELL)))
+        el += map("".join, zip(repeat('<line x1="0" y1="'), ys, repeat(f'" x2="{width}" y2="'), ys, repeat(dash)))
     if "rectangle" in layers:
         w = (T.beta // 2) * CELL
         y = (T.alpha - T.alpha // 2) * CELL

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import EmptyInput, PrincipalModule
-from .semigroup import NumericalSemigroup, _bits, _minimal
+from .semigroup import NumericalSemigroup, TwoGen, _bits, _minimal
 
 
 class GammaSemimodule:
@@ -116,6 +116,46 @@ def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
     """
     table = S._table
     return GammaSemimodule(S, (0, g), table | table << g, None if cell is None else (cell,))
+
+
+def _gap_scans(T: TwoGen) -> dict:
+    """Scan the module [0, g] of every gap g of <alpha, beta> in one walk.
+
+    Maps the cell (a, b) of each gap g, in the order of `T.walk`, to the
+    tuple (g, conductor, wilf, fixed_point, selfdual, symmetric, double):
+    the conductor and Wilf number of [0, g], `is_fixed_point`,
+    `is_selfdual` and `is_symmetric_sm` of it, and whether 2g is a member of
+    S.  No module is built; each flag is the scan its predicate makes, on
+    the membership int table | table << g that `_gap_module` would hold.
+    With the two generators 0 and g, the running OR of `_syzygy_mask`
+    leaves table & table << g, the AND of `_dual_mask` is table & table >>
+    g, and `_is_translate`'s generator mask is 1 | 1 << g.  The fixed point
+    and selfdual flags stay two scans, each a check on the other, although
+    `is_fixed_point` proves they agree for ed 2; `is_symmetric_sm` proves
+    the symmetry sum.  The Wilf number is 2 * delta - conductor, delta the
+    conductor less the gap count.
+    """
+    S = T.semigroup()
+    table = S._table
+    gens = S.generators
+    scans = {}
+    for a, b, g in T.walk():
+        up = table << g
+        gaps = ~(table | up)
+        c = gaps.bit_length()
+        genmask = 1 | 1 << g
+        syz = _minimal(table & up, gens)
+        dual = _minimal(table & table >> g, gens)
+        scans[a, b] = (
+            g,
+            c,
+            c - 2 * gaps.bit_count(),
+            syz == genmask * (syz & -syz),
+            dual == genmask * (dual & -dual),
+            gaps + int(bin(gaps)[:1:-1], 2) == (1 << c) - 1,
+            (table >> 2 * g) & 1 == 1,
+        )
+    return scans
 
 
 def is_lean(S: NumericalSemigroup, values) -> bool:

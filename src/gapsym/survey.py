@@ -5,11 +5,13 @@ Each check replays one structural fact on one pair and yields unlabeled
 labels each with its pair and files it.  A check reads the pair's derived
 objects through two `functools.cache` callables, each built on its first
 call and kept for the pair: `blocks()` gives the verified partition, and
-`modules()` gives the module [0, g] of every gap of the pair, built in one
-walk of its gap cells.  A failed build is not kept, so each check that
-reads it builds it again and gets the same error.  A pair whose checks
-never call one builds nothing for it.  The known printed-sum undercount for
-the upper triangle at odd alpha is downgraded to a warning.
+`scans()` gives the scan table of `semimodule._gap_scans`, which maps the
+cell of every gap g to the conductor, the Wilf number and the scanned
+predicates of the module [0, g], read in one walk of the gap cells with no
+module built.  A failed build is not kept, so each check that reads it
+builds it again and gets the same error.  A pair whose checks never call one
+builds nothing for it.  The known printed-sum undercount for the upper
+triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import GapsymError, InconsistentInput
-from .fundamental import _fundamental_count, compare_counts, red_equivalence
+from .fundamental import RedChecks, _fundamental_count, compare_counts
 from .semigroup import NumericalSemigroup
-from .semimodule import _gap_module
+from .semimodule import _gap_scans
 from .symmetry import (
     _smaller_triangle,
     card_formulas,
@@ -29,7 +31,7 @@ from .symmetry import (
     reconstruct_from_symmetric,
     rectangle_cells,
 )
-from .wilf import zero_wilf_equivalences
+from .wilf import ZeroWilfChecks
 
 
 class CheckResult(NamedTuple):
@@ -48,7 +50,7 @@ def coprime_pairs(max_beta: int):
                 yield alpha, beta
 
 
-def _check_partition(T, blocks, modules):
+def _check_partition(T, blocks, scans):
     if sum(blocks().block_sizes()) != T.genus:
         yield "violations", "block sizes miss the genus"
     S = T.semigroup()
@@ -60,7 +62,7 @@ def _check_partition(T, blocks, modules):
             yield "violations", f"gap {g} rectangle mismatch"
 
 
-def _check_reconstruct(T, blocks, modules):
+def _check_reconstruct(T, blocks, scans):
     part = blocks()
     side, sg = _smaller_triangle(part.t_u, part.t_r)
     got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, part.ssg)
@@ -68,15 +70,28 @@ def _check_reconstruct(T, blocks, modules):
         yield "violations", "reconstruction differs"
 
 
-def _check_per_gap(T, modules, predicates):
-    for d in modules().values():
-        g = d.min_generators[1]
-        checks = predicates(T, g, d)
-        if not checks.all_agree():
+def _check_equifix(T, blocks, scans):
+    # the flags agree exactly when each equals the next, so the record is
+    # built only for a finding; likewise in `_check_red`
+    alpha, beta = T.alpha, T.beta
+    for (a, b), (g, _, w, fixed_point, selfdual, symmetric, _) in scans().items():
+        wilf_zero = w == 0
+        on_half_line = alpha == 2 * b or beta == 2 * a
+        if not (wilf_zero == on_half_line == fixed_point == selfdual == symmetric):
+            checks = ZeroWilfChecks(wilf_zero, on_half_line, fixed_point, selfdual, symmetric)
             yield "violations", f"gap {g}: {checks}"
 
 
-def _check_uff(T, blocks, modules):
+def _check_red(T, blocks, scans):
+    half_beta, half_alpha = T.beta // 2, T.alpha // 2
+    for (a, b), (g, _, w, _, _, _, double) in scans().items():
+        in_rectangle = a <= half_beta and b <= half_alpha
+        wilf_nonpositive = w <= 0
+        if not (double == in_rectangle == wilf_nonpositive):
+            yield "violations", f"gap {g}: {RedChecks(double, in_rectangle, wilf_nonpositive)}"
+
+
+def _check_uff(T, blocks, scans):
     cc = compare_counts(T)
     fg_count = _fundamental_count(T)
     if fg_count != cc.fg:
@@ -90,7 +105,7 @@ def _check_uff(T, blocks, modules):
         yield "violations", f"|SG u SSG|={cc.sg_ssg} > |FG|={cc.fg}"
 
 
-def _check_cardinality(T, blocks, modules):
+def _check_cardinality(T, blocks, scans):
     rep = card_formulas(T)
     if rep.ssg_formula != rep.ssg_direct:
         yield "violations", f"SSG formula {rep.ssg_formula} != {rep.ssg_direct}"
@@ -100,12 +115,12 @@ def _check_cardinality(T, blocks, modules):
         yield "warnings", w
 
 
-def _check_conductor_sym(T, blocks, modules):
+def _check_conductor_sym(T, blocks, scans):
     c = T.semigroup().conductor
     part = blocks()
-    # a cell off the gap lattice has no gap, so no module [0, g]: it reads
-    # None, which matches no expected conductor
-    cond = {cell: d.conductor for cell, d in modules().items()}
+    # a cell off the gap lattice has no gap, so no row in the scan table: it
+    # reads None, which matches no expected conductor
+    cond = {cell: row[1] for cell, row in scans().items()}
     for a, b in part.t_u:
         expected = c - a * T.alpha
         if cond.get((a, b)) != expected or cond.get((a, T.alpha - b)) != expected:
@@ -119,10 +134,8 @@ def _check_conductor_sym(T, blocks, modules):
 _CHECKS = {
     "partition": _check_partition,
     "reconstruct": _check_reconstruct,
-    # the predicates are looked up when a check runs, so a wrapper installed
-    # over the module-level name later (perfbench's tracer) is the one called
-    "equifix": lambda T, blocks, modules: _check_per_gap(T, modules, zero_wilf_equivalences),
-    "red": lambda T, blocks, modules: _check_per_gap(T, modules, red_equivalence),
+    "equifix": _check_equifix,
+    "red": _check_red,
     "uff": _check_uff,
     "cardinality": _check_cardinality,
     "conductor-sym": _check_conductor_sym,
@@ -147,18 +160,16 @@ def run_survey(max_beta: int, checks=("all",)):
     pairs = 0
     for alpha, beta in coprime_pairs(max_beta):
         pairs += 1
-        S = NumericalSemigroup([alpha, beta])
-        T = S.two_gen()
+        T = NumericalSemigroup([alpha, beta]).two_gen()
         # both callables are read only in this iteration, so the lambdas
-        # see this pair's T and S; the module table maps the cell (a, b) of
-        # each gap g to [0, g], in one walk and in the order of `T.walk`
+        # see this pair's T
         blocks = cache(lambda: gap_partition(T))
-        modules = cache(lambda: {(a, b): _gap_module(S, g, (a, b)) for a, b, g in T.walk()})
+        scans = cache(lambda: _gap_scans(T))
         label = f"({alpha},{beta}) "
         for name in names:
             filed = found[name]
             try:
-                for kind, message in _CHECKS[name](T, blocks, modules):
+                for kind, message in _CHECKS[name](T, blocks, scans):
                     filed[kind].append(label + message)
             except GapsymError as exc:
                 filed["violations"].append(label + str(exc))

@@ -105,13 +105,9 @@ class ZeroWilfChecks(NamedTuple):
         return all(self)
 
 
-def zero_wilf_equivalences(T: TwoGen, g: int, d=None) -> ZeroWilfChecks:
-    """Evaluate all five predicates for the module [0, g] independently.
-
-    d is that module, built by `_gap_module` with g's cell, when the caller
-    has it; otherwise it is built here."""
-    if d is None:
-        d = _gap_module(T.semigroup(), g, T.gap_to_lattice(g))
+def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
+    """Evaluate all five predicates for the module [0, g] independently."""
+    d = _gap_module(T.semigroup(), g, T.gap_to_lattice(g))
     a, b = d.cells[0]
     return ZeroWilfChecks(
         wilf_zero=(d.wilf == 0),

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapsym import InconsistentInput, RedChecks, TwoGen, fundamental, survey, symmetry, wilf
+from gapsym import InconsistentInput, TwoGen, fundamental, semimodule, survey, symmetry
 from gapsym.cli import _json_text, main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, coprime_pairs, run_survey
@@ -370,15 +371,30 @@ def _drop_first_cell(triangle):
     return lambda T: triangle(T) - set(sorted(triangle(T))[:1])
 
 
+# positions of the flags in a scan-table row (g, conductor, wilf, flags...)
+FIXED_POINT, SELFDUAL, SYMMETRIC, DOUBLE = 3, 4, 5, 6
+
+
+def _scans_with(i, flag):
+    """The survey's scan table with field i of each row set to flag(field)."""
+    return lambda T: {cell: row[:i] + (flag(row[i]),) + row[i + 1:]
+                      for cell, row in semimodule._gap_scans(T).items()}
+
+
 @pytest.mark.parametrize(
     "check, owner, name, fake",
     [
         ("partition", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
         ("reconstruct", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
-        ("equifix", wilf, "is_fixed_point", lambda d: True),
-        ("equifix", wilf, "is_selfdual", lambda d: True),
-        ("equifix", wilf, "is_symmetric_sm", lambda d: True),
-        ("red", survey, "red_equivalence", lambda T, g, d=None: RedChecks(True, False, True)),
+        # each scanned flag flipped in every row of the table
+        pytest.param("equifix", survey, "_gap_scans", _scans_with(FIXED_POINT, operator.not_),
+                     id="equifix-gapsym.survey-_gap_scans-fixed_point"),
+        pytest.param("equifix", survey, "_gap_scans", _scans_with(SELFDUAL, operator.not_),
+                     id="equifix-gapsym.survey-_gap_scans-selfdual"),
+        pytest.param("equifix", survey, "_gap_scans", _scans_with(SYMMETRIC, operator.not_),
+                     id="equifix-gapsym.survey-_gap_scans-symmetric"),
+        pytest.param("red", survey, "_gap_scans", _scans_with(DOUBLE, operator.not_),
+                     id="red-gapsym.survey-_gap_scans-double"),
         ("cardinality", survey, "card_formulas",
          lambda T: symmetry.card_formulas(T)._replace(t_u_corrected=-1)),
         ("uff", survey, "_fundamental_count", lambda T: -1),
@@ -581,6 +597,21 @@ def test_sieve_limit_applies_to_inferred_pair(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_survey_bound_is_held_to_the_sieve_limit(capsys):
+    from gapsym.cli import _check_width
+
+    # <N-1, N> is the widest pair up to N: 512 is the largest bound that fits,
+    # and 513 is rejected before any pair is swept
+    _check_width([511, 512])
+    assert main(["survey", "--max-beta", "513", "--checks", "uff"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: generators 512..513 need a 262147-bit sieve; the limit is 262144\n")
+    # a bound of 1 or less has no pair, so it still runs
+    for bound in ("1", "0", "-5"):
+        assert main(["survey", "--max-beta", bound, "--checks", "uff"]) == 0
+        assert capsys.readouterr() == ("uff: pairs=0 violations=0 warnings=0\n", "")
+
+
 SURVEY_10_ALL = """\
 partition: pairs=22 violations=0 warnings=0
 reconstruct: pairs=22 violations=0 warnings=0
@@ -612,7 +643,7 @@ def test_survey_all_output_is_pinned(capsys):
 
 
 def test_survey_labels_each_violation_with_its_pair(monkeypatch, capsys):
-    monkeypatch.setattr(wilf, "is_fixed_point", lambda d: True)
+    monkeypatch.setattr(survey, "_gap_scans", _scans_with(FIXED_POINT, lambda flag: True))
     assert main(["survey", "--max-beta", "5", "--checks", "equifix"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == (
@@ -749,7 +780,7 @@ def test_survey_rebuilds_a_failing_partition_for_each_reader(monkeypatch):
 def test_conductor_sym_files_off_lattice_cells_as_mismatches(monkeypatch):
     # a partition of <3,5> whose T_u holds (3, 1), mirrored to (3, 2) off the
     # lattice, and whose T_r holds (1, 3), itself off the lattice: both are
-    # the usual mismatch violations, and no module [0, g] is built for them
+    # the usual mismatch violations, and the scan table holds no row for them
     real = symmetry.gap_partition
 
     def skewed(T):

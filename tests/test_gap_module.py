@@ -11,9 +11,11 @@ from gapsym import (
     GapClass,
     NumericalSemigroup,
     RedChecks,
-    TwoGen,
     ZeroWilfChecks,
     gap_conductor_partition,
+    is_fixed_point,
+    is_selfdual,
+    is_symmetric_sm,
     make_semimodule,
     red_equivalence,
     rectangle_cells,
@@ -25,7 +27,7 @@ from gapsym import (
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )
-from gapsym.semimodule import _dual_generators_scan, _gap_module
+from gapsym.semimodule import _dual_generators_scan, _gap_module, _gap_scans
 from gapsym.survey import coprime_pairs, run_survey
 
 BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
@@ -66,6 +68,8 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
     for S in _semigroups():
         T = S.two_gen() if len(S.generators) == 2 else None
         rect = rectangle_cells(T) if T is not None else None
+        # the row the survey's scan table must hold for each gap cell
+        want = {}
         for g in S.gaps:
             ref = make_semimodule(S, [0, g])
             d = _gap_module(S, g)
@@ -78,13 +82,17 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
             assert with_cell.min_generators == ref.min_generators
             assert d.cells == with_cell.cells == ref.cells
             assert zero_wilf_equivalences(T, g) == _zero_wilf_by_definition(T, g, ref)
-            assert zero_wilf_equivalences(T, g, with_cell) == zero_wilf_equivalences(T, g)
             assert red_equivalence(T, g) == RedChecks(
                 double_in_semigroup=S.contains(2 * g),
                 in_rectangle=(T.cell_of(g) in rect),
                 wilf_nonpositive=(ref.ed * ref.delta - ref.conductor <= 0),
             )
-            assert red_equivalence(T, g, with_cell) == red_equivalence(T, g)
+            want[T.cell_of(g)] = (g, d.conductor, d.wilf, is_fixed_point(d), is_selfdual(d),
+                                   is_symmetric_sm(d), S.contains(2 * g))
+        if T is not None:
+            table = _gap_scans(T)
+            assert table == want
+            assert list(table) == [(a, b) for a, b, _ in T.walk()]
 
 
 def _reference_gap_conductor_partition(S):
@@ -137,25 +145,24 @@ def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
 
 
 def _survey_builds(monkeypatch, checks):
-    """The (generators, gap) of every module [0, g] `run_survey(20, checks)`
-    builds, in build order."""
+    """The pair of every scan table `run_survey(20, checks)` builds, in build
+    order."""
     built = []
 
-    def counted(S, g, cell=None):
-        built.append((S.generators, g))
-        return _gap_module(S, g, cell)
+    def counted(T):
+        built.append((T.alpha, T.beta))
+        return _gap_scans(T)
 
-    monkeypatch.setattr(survey, "_gap_module", counted)
+    monkeypatch.setattr(survey, "_gap_scans", counted)
     results = run_survey(20, checks)
     assert all(not r.violations for r in results)
     return built
 
 
 def test_survey_builds_each_gap_module_once(monkeypatch):
-    # equifix, red and conductor-sym share one module [0, g] per (pair, gap)
-    built = _survey_builds(monkeypatch, ("all",))
-    genera = sum(TwoGen(a, b).genus for a, b in coprime_pairs(20))
-    assert len(built) == len(set(built)) == genera
+    # equifix, red and conductor-sym share one scan table per pair, which
+    # reads [0, g] once per gap
+    assert _survey_builds(monkeypatch, ("all",)) == list(coprime_pairs(20))
 
 
 @pytest.mark.parametrize("check", ["partition", "reconstruct", "uff", "cardinality"])
@@ -165,10 +172,9 @@ def test_survey_checks_without_modules_build_none(monkeypatch, check):
 
 @pytest.mark.parametrize("check", ["equifix", "red", "conductor-sym"])
 def test_survey_check_alone_builds_every_gap_module_once(monkeypatch, check):
-    # the table holds every gap's module, so conductor-sym alone also builds
-    # the self-symmetric cells' modules, which it never reads
-    want = [((a, b), g) for a, b in coprime_pairs(20) for _, _, g in TwoGen(a, b).walk()]
-    assert _survey_builds(monkeypatch, (check,)) == want
+    # the table holds every gap's row, so conductor-sym alone also scans the
+    # self-symmetric cells' modules, which it never reads
+    assert _survey_builds(monkeypatch, (check,)) == list(coprime_pairs(20))
 
 
 def test_check_records_are_immutable_tuples_with_fixed_fields():
