@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
@@ -30,9 +30,10 @@ from .semimodule import (
 )
 from .survey import CHECK_NAMES, run_survey
 from .symmetry import (
-    _row_major,
-    _smaller_triangle,
+    _rows_ssg,
+    _sg_rows,
     _symmetric_count,
+    _walk_cells,
     cell_values,
     gap_conductor_partition,
     gap_partition,
@@ -40,8 +41,8 @@ from .symmetry import (
     reconstruct_from_symmetric,
     triangle_r,
     triangle_u,
-    wilf_grid,
 )
+from .wilf import _wilf_rows
 
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
 
@@ -86,8 +87,9 @@ def _json_text(obj, indent=""):
     Strings are escaped by `_json_str`, as with `ensure_ascii`.  Int and str
     leaves are written in the comprehensions, without a recursive call; for
     an exact int, `f"{v}"` is `int.__repr__(v)`.  A list of flat int rows,
-    such as `analyze`'s lattice records and cell pairs, is written by one `%`
-    template (`_int_rows_text`), without a call per row.
+    such as `analyze`'s cell pairs, is written by one `%` template
+    (`_int_rows_text`), without a call per row.  A `_Lattice` writes itself
+    as the array of its pair's lattice records.
     """
     kind = type(obj)
     if kind is str:
@@ -98,6 +100,8 @@ def _json_text(obj, indent=""):
         return "null"
     if kind is bool:
         return "true" if obj else "false"
+    if kind is _Lattice:
+        return obj.text(indent)
     inner = indent + "  "
     if kind is dict:
         if not obj:
@@ -111,7 +115,7 @@ def _json_text(obj, indent=""):
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if type(obj[0]) in (dict, list, tuple):
+        if type(obj[0]) in (list, tuple):
             text = _int_rows_text(obj, indent)
             if text is not None:
                 return text
@@ -123,42 +127,54 @@ def _json_text(obj, indent=""):
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+def _rows_template(fields, brackets, count, indent):
+    """The `%` template of an array of `count` rows nested at `indent`, laid
+    out as `json.dumps(indent=2)` does: each row holds `fields`, one a line,
+    between the two `brackets`."""
+    inner = indent + "  "
+    pad = "\n" + inner + "  "
+    row = brackets[0] + pad + ("," + pad).join(fields) + "\n" + inner + brackets[1]
+    return "[\n" + inner + (",\n" + inner).join([row] * count) + "\n" + indent + "]"
+
+
 def _int_rows_text(rows, indent):
     """`_json_text(rows, indent)` for a list or tuple of flat int rows, else
     None.
 
-    Flat int rows are all non-empty dicts with the same keys in the same
-    order, or all non-empty lists or tuples of the same length, and hold
-    only exact ints; bool and float fail the type test and are left to
-    `_json_text`.  The text of one row is built once, from the first row,
-    as a template of one `%d` per value (with any `%` in a key doubled),
-    and all the values are formatted into the repeated template at once;
-    `%d` of an exact int is `int.__repr__`.
+    Flat int rows are all non-empty lists or tuples of the same length, and
+    hold only exact ints; bool and float fail the type test and are left to
+    `_json_text`.  All the values are formatted at once into a template of
+    one `%d` per value (`_rows_template`); `%d` of an exact int is
+    `int.__repr__`.
     """
-    first = rows[0]
-    kinds = set(map(type, rows))
-    if kinds == {dict}:
-        keys = list(first)
-        if list(chain.from_iterable(rows)) != keys * len(rows):
-            return None
-        values = tuple(chain.from_iterable(map(dict.values, rows)))
-        fields = [_json_str(k).replace("%", "%%") + ": %d" for k in keys]
-        brackets = "{}"
-    elif kinds <= {list, tuple}:
-        if set(map(len, rows)) != {len(first)}:
-            return None
-        values = tuple(chain.from_iterable(rows))
-        fields = ["%d"] * len(first)
-        brackets = "[]"
-    else:
+    if not set(map(type, rows)) <= {list, tuple} or set(map(len, rows)) != {len(rows[0])}:
         return None
+    values = tuple(chain.from_iterable(rows))
     # empty rows hold no value, so this also leaves them to _json_text
     if set(map(type, values)) != {int}:
         return None
-    inner = indent + "  "
-    pad = "\n" + inner + "  "
-    row = brackets[0] + pad + ("," + pad).join(fields) + "\n" + inner + brackets[1]
-    return ("[\n" + inner + (",\n" + inner).join([row] * len(rows)) + "\n" + indent + "]") % values
+    return _rows_template(["%d"] * len(rows[0]), "[]", len(rows), indent) % values
+
+
+class _Lattice:
+    """`analyze`'s `lattice` entry, which `_json_text` writes as one record
+    {a, b, value, wilf} per gap cell of T, in walk order: one `%d` template
+    over the flat ints of each row's ranges from `_wilf_rows`.  `zip` reuses
+    its result tuple once `chain` has read it, so no record is built per
+    cell.  It is a plain class because a `NamedTuple` takes about 0.2 ms
+    to define at import."""
+
+    __slots__ = ("T",)
+
+    def __init__(self, T: TwoGen):
+        self.T = T
+
+    def text(self, indent):
+        flat = []
+        for b, values, wilf in _wilf_rows(self.T):
+            flat += chain.from_iterable(zip(range(1, len(values) + 1), repeat(b), values, wilf))
+        fields = ('"a": %d', '"b": %d', '"value": %d', '"wilf": %d')
+        return _rows_template(fields, "{}", self.T.genus, indent) % tuple(flat)
 
 
 def _output(args, report, lines=None) -> str:
@@ -179,8 +195,9 @@ def cmd_analyze(args):
         return render_svg(T, layers), 0
     S = T.semigroup()
     part = gap_partition(T)
-    side, sg = _smaller_triangle(part.t_u, part.t_r)
-    ssg = part.ssg
+    side, sg_rows = _sg_rows(T)
+    sg = list(_walk_cells(sg_rows))
+    ssg = list(_walk_cells(_rows_ssg(T)))
     fg = fundamental_gaps(S)
     n_sym, n_fg = len(sg) + len(ssg), len(fg)
     report = {
@@ -189,11 +206,9 @@ def cmd_analyze(args):
         "conductor": S.conductor,
         "genus": S.genus,
         "gaps": list(S.gaps),
-        "lattice": [
-            {"a": a, "b": b, "value": v, "wilf": w} for a, b, v, w in wilf_grid(T)
-        ],
-        "sg": {"side": side, "cells": _row_major(sg), "values": cell_values(T, sg)},
-        "ssg": {"cells": _row_major(ssg), "values": cell_values(T, ssg)},
+        "lattice": _Lattice(T),
+        "sg": {"side": side, "cells": sg, "values": cell_values(T, sg)},
+        "ssg": {"cells": ssg, "values": cell_values(T, ssg)},
         "partition": dict(zip(part._fields, part.block_sizes())),
         "fg": list(fg),
         "counts": {"sg_ssg": n_sym, "fg": n_fg},

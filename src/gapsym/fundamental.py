@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import _gap_module
-from .symmetry import _symmetric_count
+from .symmetry import _rows_fg, _symmetric_count, _walk_cells
 
 
 def fundamental_gaps(S: NumericalSemigroup) -> tuple:
@@ -32,12 +32,11 @@ def fundamental_cells(T: TwoGen) -> set:
     On it, 3g = (beta - 3a)*alpha + (2*alpha - 3b)*beta.  If 3a <= beta,
     x is beta - 3a and y = 2*alpha - 3b >= alpha/2 > 0.  Otherwise
     beta < 3a <= 3*beta/2, so x is 2*beta - 3a and y = alpha - 3b, which is
-    nonnegative exactly when 3b <= alpha.  `fundamental_gaps` stays the scan
-    these cells are tested against.
+    nonnegative exactly when 3b <= alpha.  So row b holds a <= beta // 2
+    when 3b <= alpha and a <= beta // 3 otherwise (`symmetry._rows_fg`).
+    `fundamental_gaps` stays the scan these cells are tested against.
     """
-    ra, rb = T.beta // 2, T.alpha // 2
-    return {(a, b) for a in range(1, ra + 1) for b in range(1, rb + 1)
-            if 3 * a <= T.beta or 3 * b <= T.alpha}
+    return set(_walk_cells(_rows_fg(T)))
 
 
 def _fundamental_count(T: TwoGen) -> int:

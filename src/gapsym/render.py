@@ -10,19 +10,19 @@ coordinates, fixed ordering, no timestamps.
 The per-cell elements are written one lattice row at a time: each label and
 shaded cell is joined from its column's x prefix and its row's y text, each
 built once per render, so no f-string runs per cell.  The labels read each
-row's values and Wilf numbers as ranges (`wilf._wilf_rows`).  Each grid line
-is joined from its coordinate's text and fixed pieces, with no f-string per
-line.
+row's values and Wilf numbers as ranges (`wilf._wilf_rows`), and each shaded
+layer reads its block's row intervals (`symmetry._rows_*`), so no cell set
+is built or sorted.  Each grid line is joined from its coordinate's text and
+fixed pieces, with no f-string per line.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import InconsistentInput
-from .fundamental import fundamental_cells
 from .semigroup import TwoGen
-from .symmetry import _row_major, _smaller_triangle, self_symmetric_gaps, triangle_r, triangle_u
+from .symmetry import _rows_fg, _rows_r, _rows_ssg, _rows_u, _sg_rows
 from .wilf import _wilf_rows
 
 LAYERS = ("grid", "diagonal", "values", "wilf", "triangles", "rectangle", "sg", "ssg", "fg")
@@ -39,12 +39,15 @@ _FILL = {
 CELL = 40
 
 
-def _cell_rects(T: TwoGen, rect_x, cells, color, opacity):
-    """One filled <rect> per cell, in the row-major order of `TwoGen.walk`;
-    rect_x holds the x prefix of each column a, built once per render."""
+def _cell_rects(T: TwoGen, rect_x, rows, color, opacity):
+    """One filled <rect> per cell of the row intervals (b, first, last), in
+    their order; rect_x holds the x prefix of each column a, built once per
+    render."""
     tail = f'" width="{CELL}" height="{CELL}" fill="{color}" fill-opacity="{opacity}"/>'
-    ys = [f'{(T.alpha - b) * CELL}{tail}' for b in range(T.alpha)]
-    return [rect_x[a] + ys[b] for a, b in _row_major(cells)]
+    return chain.from_iterable(
+        map(str.__add__, rect_x[first:last + 1], repeat(f"{(T.alpha - b) * CELL}{tail}"))
+        for b, first, last in rows
+    )
 
 
 def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
@@ -64,18 +67,15 @@ def render_svg(T: TwoGen, layers=DEFAULT_LAYERS) -> str:
     if layers & _FILL.keys():
         # the shaded layers share the x prefixes, indexed by column a
         rect_x = [f'<rect x="{(a - 1) * CELL}" y="' for a in range(T.row_length(1) + 1)]
-    if "triangles" in layers or "sg" in layers:
-        tu, tr = triangle_u(T), triangle_r(T)
     if "triangles" in layers:
-        el += _cell_rects(T, rect_x, tu, _FILL["triangles"], "60%")
-        el += _cell_rects(T, rect_x, tr, _FILL["triangles"], "60%")
+        el += _cell_rects(T, rect_x, _rows_u(T), _FILL["triangles"], "60%")
+        el += _cell_rects(T, rect_x, _rows_r(T), _FILL["triangles"], "60%")
     if "fg" in layers:
-        el += _cell_rects(T, rect_x, fundamental_cells(T), _FILL["fg"], "55%")
+        el += _cell_rects(T, rect_x, _rows_fg(T), _FILL["fg"], "55%")
     if "sg" in layers:
-        _, sg = _smaller_triangle(tu, tr)
-        el += _cell_rects(T, rect_x, sg, _FILL["sg"], "70%")
+        el += _cell_rects(T, rect_x, _sg_rows(T)[1], _FILL["sg"], "70%")
     if "ssg" in layers:
-        el += _cell_rects(T, rect_x, self_symmetric_gaps(T), _FILL["ssg"], "70%")
+        el += _cell_rects(T, rect_x, _rows_ssg(T), _FILL["ssg"], "70%")
     if "grid" in layers:
         dash = '" stroke="#999" stroke-dasharray="3,3"/>'
         xs = list(map(str, range(0, width + 1, CELL)))

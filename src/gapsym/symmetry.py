@@ -3,8 +3,10 @@ zero-Wilf cells, borders, the five-block partition of the gap lattice, and
 the reconstruction game that recovers every gap from the two symmetric sets.
 
 Cell sets are plain frozensets of (a, b) pairs; no connectivity is assumed
-or checked anywhere.  Each named set is built from its own rows or columns;
-only the checks in `gap_partition` and `reconstruct_from_symmetric` build
+or checked anywhere.  Each named block is a union of row segments: its
+`_rows_*` helper yields one non-empty interval (b, first, last) per row, b
+descending as in `TwoGen.walk`, and its cell set and the writers read them.
+Only the checks in `gap_partition` and `reconstruct_from_symmetric` build
 the whole gap lattice.
 """
 
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 from itertools import chain, count, repeat
 from math import gcd
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
@@ -21,34 +22,51 @@ from .semimodule import _gap_module
 from .wilf import _wilf_rows
 
 
-def _row_major(cells):
-    """Cells (a, b) sorted as `TwoGen.walk` yields them: b descending, then a
-    ascending.  Sorting is stable, with reverse=True too, so the second sort
-    keeps a ascending within each row."""
-    return sorted(sorted(cells, key=itemgetter(0)), key=itemgetter(1), reverse=True)
+def _full_rows(T: TwoGen, rows):
+    """The intervals of every gap cell of the rows b, in the given order."""
+    return ((b, 1, T.row_length(b)) for b in rows)
 
 
-def _row_cells(T: TwoGen, rows) -> frozenset:
-    """All gap cells of the given rows b."""
-    return frozenset((a, b) for b in rows for a in range(1, T.row_length(b) + 1))
+def _rows_u(T: TwoGen):
+    """T_u: the rows above the midline b = floor(alpha/2)."""
+    return _full_rows(T, range(T.alpha - 1, T.alpha // 2, -1))
 
 
-def _column_cells(T: TwoGen, columns) -> frozenset:
-    """All gap cells of the given columns a."""
-    return frozenset((a, b) for a in columns for b in range(1, T.column_height(a) + 1))
+def _rows_r(T: TwoGen):
+    """T_r: a from floor(beta/2) + 1 on, in the rows that reach it."""
+    first = T.beta // 2 + 1
+    return ((b, first, T.row_length(b)) for b in range(T.column_height(first), 0, -1))
+
+
+def _rows_ssg(T: TwoGen):
+    """SSG: the row alpha/2, or the column beta/2 one row at a time."""
+    if T.alpha % 2 == 0:
+        yield from _full_rows(T, (T.alpha // 2,))
+    elif T.beta % 2 == 0:
+        a = T.beta // 2
+        yield from ((b, a, a) for b in range(T.column_height(a), 0, -1))
+
+
+def _rows_fg(T: TwoGen):
+    """FG (`fundamental.fundamental_cells`): for b <= floor(alpha/2), a up to
+    floor(beta/2) when 3b <= alpha and up to floor(beta/3) otherwise."""
+    half, third = T.beta // 2, T.beta // 3
+    return ((b, 1, half if 3 * b <= T.alpha else third) for b in range(T.alpha // 2, 0, -1))
+
+
+def _walk_cells(rows):
+    """The cells (a, b) of row intervals, in their order."""
+    return ((a, b) for b, first, last in rows for a in range(first, last + 1))
 
 
 def triangle_u(T: TwoGen) -> frozenset:
     """Gap cells strictly above the horizontal midline b = floor(alpha/2)."""
-    return _row_cells(T, range(T.alpha // 2 + 1, T.alpha))
+    return frozenset(_walk_cells(_rows_u(T)))
 
 
 def triangle_r(T: TwoGen) -> frozenset:
-    """Gap cells strictly right of the vertical midline a = floor(beta/2).
-
-    Columns past row_length(1) hold no gap, so the scan stops there.
-    """
-    return _column_cells(T, range(T.beta // 2 + 1, T.row_length(1) + 1))
+    """Gap cells strictly right of the vertical midline a = floor(beta/2)."""
+    return frozenset(_walk_cells(_rows_r(T)))
 
 
 def _smaller_side(t_u: int, t_r: int) -> str:
@@ -62,6 +80,13 @@ def _smaller_triangle(tu: frozenset, tr: frozenset):
     return side, tu if side == "T_u" else tr
 
 
+def _sg_rows(T: TwoGen):
+    """(side, row intervals) of the smaller triangle, sized by `_block_counts`."""
+    t_u, t_r, _ = _block_counts(T)
+    side = _smaller_side(t_u, t_r)
+    return side, _rows_u(T) if side == "T_u" else _rows_r(T)
+
+
 def supersymmetric_gaps(T: TwoGen):
     """The smaller of the two triangles, with its side tag.
 
@@ -72,9 +97,7 @@ def supersymmetric_gaps(T: TwoGen):
 
 def self_symmetric_gaps(T: TwoGen) -> frozenset:
     """Cells on a half-line alpha = 2b or beta = 2a; exactly the zero-Wilf gaps."""
-    row = (T.alpha // 2,) if T.alpha % 2 == 0 else ()
-    column = (T.beta // 2,) if T.beta % 2 == 0 else ()
-    return _row_cells(T, row) | _column_cells(T, column)
+    return frozenset(_walk_cells(_rows_ssg(T)))
 
 
 def reflect_alpha(T: TwoGen, cells) -> frozenset:
@@ -144,7 +167,7 @@ def gap_partition(T: TwoGen) -> GapPartition:
     tr = triangle_r(T)
     ssg = self_symmetric_gaps(T)
     part = GapPartition(tu, reflect_alpha(T, tu), ssg, tr, reflect_beta(T, tr))
-    lg = _row_cells(T, range(1, T.alpha))
+    lg = frozenset(_walk_cells(_full_rows(T, range(1, T.alpha))))
     if frozenset().union(*part) != lg or sum(map(len, part)) != len(lg):
         raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
     rect = rectangle_cells(T)
@@ -180,7 +203,7 @@ def reconstruct_from_symmetric(alpha, beta, sg_cells, sg_side, ssg_cells):
     ssg = frozenset(tuple(p) for p in ssg_cells)
     if sg_side not in ("T_u", "T_r"):
         raise InconsistentInput(f"unknown side tag {sg_side!r}")
-    lg = _row_cells(T, range(1, T.alpha))
+    lg = frozenset(_walk_cells(_full_rows(T, range(1, T.alpha))))
     if not sg <= lg or not ssg <= lg:
         raise InconsistentInput("input cells outside the gap lattice")
     rect = rectangle_cells(T)
@@ -259,11 +282,14 @@ def _candidate_pairs(top: int, max_beta: int):
 
 
 def _block_counts(T: TwoGen):
-    """(|T_u|, |T_r|, |SSG|), summed over the row lengths without building a cell."""
+    """(|T_u|, |T_r|, |SSG|), summed over the row lengths without building a
+    cell; T_r holds the cells past beta//2 of the k rows that reach it
+    (`_rows_r`)."""
     half_b, half_a = T.alpha // 2, T.beta // 2
     rows = [T.row_length(b) for b in range(1, T.alpha)]
+    k = T.column_height(half_a + 1)
     t_u = sum(rows[half_b:])
-    t_r = sum(max(0, n - half_a) for n in rows)
+    t_r = sum(rows[:k]) - k * half_a
     ssg = rows[half_b - 1] if T.alpha % 2 == 0 else 0
     if T.beta % 2 == 0:
         ssg += T.column_height(half_a)
@@ -322,10 +348,12 @@ def infer_semigroup(values, max_beta: int):
     hold: the self-symmetric row (1, alpha//2) or column (beta//2, 1), T_u
     at (1, alpha//2 + 1) or T_r at (beta//2 + 1, 1).  Each corner equation
     is solved for beta (`_corner_betas`), so the candidates number at most
-    six per alpha, O(sqrt V) in all.  Each candidate maps the target values
-    to their cells once.  Before any triangle is built, it is dropped unless
-    every target value is a gap and the symmetric sets hold as many cells as
-    there are target values.  Gaps and cells correspond one to one, so a
+    six per alpha, O(sqrt V) in all.  A candidate is dropped unless its
+    symmetric sets hold as many cells as there are target values, counted
+    from its row lengths (`_symmetric_count`) before any value is mapped to
+    a cell.  A candidate that passes maps the target values to their cells
+    once, and before any triangle is built it is dropped unless every
+    target value is a gap.  Gaps and cells correspond one to one, so a
     candidate matches exactly when its symmetric cells are those cells.
     """
     target = set(values)
@@ -335,8 +363,10 @@ def infer_semigroup(values, max_beta: int):
     matches = []
     for alpha, beta in _candidate_pairs(top, max_beta):
         T = TwoGen(alpha, beta)
+        if _symmetric_count(T) != len(target):
+            continue
         cells = {T.cell_of(v) for v in target}
-        if None in cells or _symmetric_count(T) != len(target):
+        if None in cells:
             continue
         _, sg = supersymmetric_gaps(T)
         if sg | self_symmetric_gaps(T) == cells:

@@ -128,8 +128,9 @@ _JSON_VALUE = st.recursive(
 @example([None, True, False, {"none": None, "true": True, "false": False}])
 @example({'"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800': ['"q\\\x00\t\x1f\u00e9\u20ac\U0001f600\ud800']})
 @example([-(10**300), 10**300, -1, 0, 2**64, (1, (2, ()))])
-# lists of records and of int rows, which `_int_rows_text` writes when their
-# keys, lengths and value types allow, and leaves to the general path otherwise
+# lists of records, which take the general path, and of int rows, which
+# `_int_rows_text` writes when their lengths and value types allow, and leaves
+# to the general path otherwise
 @example({"lattice": [{"a": 1, "b": 6, "value": 1, "wilf": 5}, {"a": 2, "b": 6, "value": 0, "wilf": -3}]})
 @example([({"a": -(10**300), "b": 10**300},), ({"a": 0, "b": 2**64}, {"a": -1, "b": 1})])
 @example([[{"a": 1, "b": True}, {"a": 2, "b": False}], [{"a": True}, {"a": 1}], [{"a": 1}, {"a": None}]])

@@ -33,6 +33,11 @@ LARGE_PINS = {
     ((3, 100), "text"): "4e36dea0158feee985abb8fe058ea88401864d831a35b221dc7338f0488b294b",
     ((3, 100), "svg"): "31dcf572b40b3b6ce713dd79adc954b5613b445e4ec8366d0bc3d8b567a158a5",
     ((3, 100), "svg-all"): "f487ed3b9403a07040570acba871596b0ac3c7a73f76b7bb1d72e36195e4d176",
+    # odd alpha, even beta: the self-symmetric column at size
+    ((99, 100), "json"): "82a298bf0712ba6d1de8265556827388f476f510b5ddf675a2563e50e16df365",
+    ((99, 100), "text"): "4434308ac72c9e9c4e57dec3e430b4a2331fd3f5abc7c16a8ab66a7292e078ed",
+    ((99, 100), "svg"): "436b5259060f0912ec93ba938ccb6650879d3ec84c5507b4051dad9e698cfb39",
+    ((99, 100), "svg-all"): "4a1c476991c5ec4e7e967c3a3aab9a499be3fe1f5a94d77b420c3178c9ac446d",
 }
 
 

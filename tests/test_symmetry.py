@@ -24,8 +24,17 @@ from gapsym import (
     triangle_r,
     triangle_u,
 )
+from gapsym.fundamental import fundamental_gaps
 from gapsym.survey import coprime_pairs
-from gapsym.symmetry import _block_counts
+from gapsym.symmetry import (
+    _block_counts,
+    _rows_fg,
+    _rows_r,
+    _rows_ssg,
+    _rows_u,
+    _sg_rows,
+    _walk_cells,
+)
 
 T78 = TwoGen(7, 8)
 
@@ -146,6 +155,41 @@ def test_cell_sets_match_lattice_definitions():
         for a in range(1, beta):
             h = T.column_height(a)
             assert (h == 0 or T.in_lattice(a, h)) and not T.in_lattice(a, h + 1), (pair, a)
+
+
+def test_row_intervals_read_each_block_in_walk_order():
+    # each block's row intervals (b, first, last), read in order, are its
+    # cell set sorted as the walk yields cells (the fundamental cells as the
+    # scan finds them), one non-empty interval per row and b descending; the
+    # sizes are those `_block_counts` sums
+    def walk_order(cells):
+        return sorted(cells, key=lambda cell: (-cell[1], cell[0]))
+
+    kinds = set()
+    for alpha, beta in coprime_pairs(40):
+        T = TwoGen(alpha, beta)
+        pair = (alpha, beta)
+        blocks = [
+            (_rows_u, triangle_u(T)),
+            (_rows_r, triangle_r(T)),
+            (_rows_ssg, self_symmetric_gaps(T)),
+            (_rows_fg, {T.cell_of(g) for g in fundamental_gaps(T.semigroup())}),
+        ]
+        for rows_of, cells in blocks:
+            rows = list(rows_of(T))
+            assert all(1 <= first <= last for _, first, last in rows), (pair, rows_of.__name__)
+            rows_b = [b for b, _, _ in rows]
+            assert rows_b == sorted(set(rows_b), reverse=True), (pair, rows_of.__name__)
+            assert list(_walk_cells(rows)) == walk_order(cells), (pair, rows_of.__name__)
+        side, rows = _sg_rows(T)
+        sg_side, sg = supersymmetric_gaps(T)
+        assert (side, list(_walk_cells(rows))) == (sg_side, walk_order(sg)), pair
+        assert _block_counts(T) == tuple(len(cells) for _, cells in blocks[:3]), pair
+        kinds |= {kind for kind, hit in (
+            ("alpha 2", alpha == 2), ("alpha 3", alpha == 3),
+            ("even alpha > 2", alpha % 2 == 0 and alpha > 2), ("even beta", beta % 2 == 0),
+        ) if hit}
+    assert kinds == {"alpha 2", "alpha 3", "even alpha > 2", "even beta"}
 
 
 def test_reconstruct_78():
