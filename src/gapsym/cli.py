@@ -86,10 +86,11 @@ def _json_text(obj, indent=""):
     on any other type and on a non-str dict key, which `_json_str` rejects.
     Strings are escaped by `_json_str`, as with `ensure_ascii`.  Int and str
     leaves are written in the comprehensions, without a recursive call; for
-    an exact int, `f"{v}"` is `int.__repr__(v)`.  A list of flat int rows,
-    such as `analyze`'s cell pairs, is written by one `%` template
-    (`_int_rows_text`), without a call per row.  A `_Lattice` writes itself
-    as the array of its pair's lattice records.
+    an exact int, `f"{v}"` and `%d` are `int.__repr__(v)`.  A flat list of
+    exact ints, such as `analyze`'s gaps, is written by one `%d` template,
+    and a list of flat int rows, such as `analyze`'s cell pairs, by one `%`
+    template (`_int_rows_text`), without a call per row.  A `_Lattice`
+    writes itself as the array of its pair's lattice records.
     """
     kind = type(obj)
     if kind is str:
@@ -115,10 +116,14 @@ def _json_text(obj, indent=""):
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        if type(obj[0]) in (list, tuple):
+        first = type(obj[0])
+        if first is list or first is tuple:
             text = _int_rows_text(obj, indent)
             if text is not None:
                 return text
+        elif first is int and set(map(type, obj)) == {int}:
+            sep = ",\n" + inner
+            return ("[\n" + inner + sep.join(["%d"] * len(obj)) + "\n" + indent + "]") % tuple(obj)
         parts = [
             f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner)
             for v in obj

@@ -19,10 +19,9 @@ from .errors import Ambiguous, BoundTooSmall, EmptyInput, PrincipalModule
 from .semigroup import NumericalSemigroup, TwoGen, _bits
 
 
-def _greedy_minimal(S: NumericalSemigroup, mask: int, nbits: int):
+def _greedy_minimal(table: int, mask: int, nbits: int):
     # Greedy removal: take the smallest member, delete its whole shifted
-    # copy of the semigroup, repeat.
-    table = S.member_mask(nbits)
+    # copy of the semigroup, repeat.  table is S.member_mask(nbits).
     full = (1 << nbits) - 1
     out = []
     while mask:
@@ -50,7 +49,7 @@ def brute_syzygy(S: NumericalSemigroup, generators, bound: int):
         members |= shifted[gi] & shifted[gj]
     if members == 0:
         raise BoundTooSmall(f"no intersection members below {bound}")
-    mingens = _greedy_minimal(S, members, nbits)
+    mingens = _greedy_minimal(table, members, nbits)
     if bound - max(mingens) < S.generators[0]:
         raise BoundTooSmall(
             f"generator {max(mingens)} is within {S.generators[0]} of bound {bound}"
@@ -75,7 +74,7 @@ def brute_dual(S: NumericalSemigroup, generators, bound: int):
     members = (1 << nbits) - 1
     for d in _bits(dmask):
         members &= ext >> d
-    return members, _greedy_minimal(S, members, nbits)
+    return members, _greedy_minimal(S.member_mask(nbits), members, nbits)
 
 
 def enumerate_lean_sets(T: TwoGen):

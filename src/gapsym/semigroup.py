@@ -9,6 +9,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
 from operator import index
 
@@ -107,13 +108,20 @@ class NumericalSemigroup:
         return f"NumericalSemigroup({list(self.generators)})"
 
 
+# maps the ASCII digits of bin() to the selector bytes 0 and 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int):
     """Positions of the set bits of a nonnegative mask, ascending.
 
     A membership int is negative and must not be passed: bin() of a negative
-    int lists the bits of its absolute value.
+    int lists the bits of its absolute value.  The digits of bin(), least
+    significant first, become selector bytes that `compress` reads against
+    `count()`, so the loop over the digits runs in C, not one bytecode step
+    per digit; it costs the mask's width, not its count of set bits.
     """
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
 
 def _minimal(mask: int, gens) -> int:

@@ -96,11 +96,16 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     cells = None
     if len(S.generators) == 2 and len(keep) > 1:
         T = S.two_gen()
-        # order by the gap partial order: 0 first, then column ascending
-        # (the nonzero members of a lean set are gaps in distinct columns)
-        rest = keep[1:]
-        cells, rest = zip(*sorted(zip(map(T.cell_of, rest), rest)))
-        keep = [0, *rest]
+        alpha, beta, inv = T.alpha, T.beta, T._alpha_inv
+        product = alpha * beta
+        # Every nonzero minimal generator g is a gap, as it is not in 0 + S,
+        # so `cell_of`'s arithmetic cannot fail on it: its column a is
+        # -g / alpha mod beta and its row (alpha*beta - a*alpha - g) / beta.
+        # Order by the gap partial order: 0 first, then column ascending (the
+        # nonzero members of a lean set are gaps in distinct columns).
+        cols = sorted([(-g * inv % beta, g) for g in keep[1:]])
+        cells = tuple([(a, (product - a * alpha - g) // beta) for a, g in cols])
+        keep = [0, *[g for _, g in cols]]
     return GammaSemimodule(S, keep, mask, cells)
 
 
@@ -201,11 +206,15 @@ def dual_generators(delta: GammaSemimodule):
     """Minimal generators of {x : x + D is contained in the base semigroup}.
 
     For a two-generator base this is closed-form in the lattice coordinates
-    of the lean set; otherwise it falls back to a direct scan.
+    of the lean set, x*alpha + y*beta for each path corner (x, y), that is
+    alpha*beta - h for each h-value; otherwise it falls back to a direct
+    scan.  The corners lie in distinct columns 0 .. beta - 1, so no two
+    share a value.
     """
     if len(delta.base.generators) == 2 and delta.ed >= 2:
         a, b = delta.base.generators
-        return sorted({x * a + y * b for x, y in _path(delta).se_turns})
+        product = a * b
+        return sorted([product - h for h in _path(delta).h_values])
     return _dual_generators_scan(delta)
 
 
@@ -254,20 +263,23 @@ def lattice_path(delta: GammaSemimodule) -> LeanCouple:
 
 def _path(delta: GammaSemimodule) -> LeanCouple:
     # Built once per module and kept on it: the conductor and delta formulas
-    # and the closed-form dual read the same corners.
+    # and the closed-form dual read the same corners.  Corner i sits in the
+    # column of cell i - 1 (column 0 for i = 0) and the row of cell i (row 0
+    # past the last cell).
     if delta._path is None:
         T = delta.base.two_gen()
         if delta.ed < 2:
             raise PrincipalModule("a principal module has no syzygy path")
         pts = delta.cells
-        corners = [(0, pts[0][1])]
-        corners += [(pts[i][0], pts[i + 1][1]) for i in range(len(pts) - 1)]
-        corners.append((pts[-1][0], 0))
-        hv = tuple(T.value(a, b) for a, b in corners)
+        alpha, beta = T.alpha, T.beta
+        product = alpha * beta
+        cols, rows = zip(*pts)
+        corners = tuple(zip((0, *cols), (*rows, 0)))
+        hv = tuple([product - a * alpha - b * beta for a, b in corners])
         m = max(hv)
         delta._path = LeanCouple(
             es_turns=pts,
-            se_turns=tuple(corners),
+            se_turns=corners,
             h_values=hv,
             max_syzygy=m,
             max_point=corners[hv.index(m)],
@@ -284,15 +296,21 @@ def sm_conductor_formula(delta: GammaSemimodule) -> int:
 
 
 def delta_formula(delta: GammaSemimodule) -> int:
-    """Delta invariant from the staircase column widths and row heights."""
+    """Delta invariant from the staircase column widths and row heights.
+
+    The conductor term is `sm_conductor_formula`'s, read off the same path:
+    delta = (M - alpha - beta + 1) - delta(S) + the area under the
+    staircase, which over the columns from corner i to corner i + 1 has the
+    height of corner i's row.
+    """
     S = delta.base
-    S.two_gen()  # raises NotTwoGenerated for any other base
+    T = S.two_gen()  # raises NotTwoGenerated for any other base
     if delta.ed < 2:
         return S.delta
-    pts = _path(delta).es_turns
-    cols = [0] + [a for a, _ in pts]
-    area = sum((cols[i + 1] - cols[i]) * pts[i][1] for i in range(len(pts)))
-    return sm_conductor_formula(delta) - S.delta + area
+    path = _path(delta)
+    corners = path.se_turns
+    area = sum([(c1 - c0) * b for (c0, b), (c1, _) in zip(corners, corners[1:])])
+    return path.max_syzygy - T.alpha - T.beta + 1 - S.delta + area
 
 
 def _is_translate(mins: int, delta: GammaSemimodule) -> bool:

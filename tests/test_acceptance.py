@@ -39,7 +39,6 @@ from gapsym.oracle import (
     brute_dual,
     brute_h_determines,
     brute_syzygy,
-    enumerate_lean_sets,
     enumerate_semigroups_by_genus,
 )
 from gapsym.survey import coprime_pairs
@@ -170,13 +169,12 @@ def test_criterion_07_survey_exit_zero():
         assert cli_main(["survey", "--max-beta", "40", "--checks", "all"]) == 0
 
 
-def test_criterion_08_differential_oracle_suite():
+def test_criterion_08_differential_oracle_suite(lean_sets_to_12):
     with criterion(8, "all lean sets up to 12: closed forms match brute oracles"):
-        for alpha, beta in coprime_pairs(12):
+        for (alpha, beta), lean_sets in lean_sets_to_12.items():
             S = make_semigroup([alpha, beta])
-            T = S.two_gen()
             bound = S.conductor + max(beta, 12) + alpha * beta
-            for values in enumerate_lean_sets(T):
+            for values in lean_sets:
                 if len(values) < 2:
                     continue
                 d = make_semimodule(S, values)

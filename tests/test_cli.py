@@ -139,13 +139,16 @@ _JSON_VALUE = st.recursive(
 @example([[{}, {}], ({}, {"a": 1}), [{"a": 1}, {}], [{"a": 1}, ["a"]], [{"a": 1}, "a"]])
 @example({"cells": [(1, 6), [2, 6]], "big": ((10**300,), [-(10**300)]), "nested": [[[1, 2]], [[3, 4]]]})
 @example([[[1, 2], [3]], [[1, True], [2, 3]], [[1], [None]], [[], []], [[1], []], [(1, 2), {"a": 1}], [[1], "a"]])
+# flat lists that start with an int, written by one template when every item
+# is an int and by the general path otherwise
+@example({"gaps": [1, 2, 10**300], "t": (-1, 0), "one": [7], "b": [1, True], "n": [0, None], "s": [1, "%d"]})
 def test_json_text_matches_json_dumps(obj):
     assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [
     1.5, {1, 2}, {1: "int key"}, [{"ok": [0.0]}], {"a": {True: 1}},
-    [{"a": 1}, {"a": 1.5}], ({"a": 2.0},), [{1: 1}, {1: 2}], [(1, 2), [3, 1.5]],
+    [{"a": 1}, {"a": 1.5}], ({"a": 2.0},), [{1: 1}, {1: 2}], [(1, 2), [3, 1.5]], [1, 1.5],
 ])
 def test_json_text_rejects_other_types(obj):
     with pytest.raises(TypeError):

@@ -286,6 +286,13 @@ def test_bits_matches_naive_scan():
         rng.getrandbits(20000),
         rng.getrandbits(12000) << 4000,
     ]
+    # the widths the oracle and the survey pass, 1 to 128 bits: all bits
+    # set, a lone top bit, random halves, and sparse and dense random masks
+    for width in range(1, 129):
+        top = 1 << (width - 1)
+        masks += [(top << 1) - 1, top, top | rng.getrandbits(width),
+                  top | (rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)),
+                  top | rng.getrandbits(width) | rng.getrandbits(width) | rng.getrandbits(width)]
     for mask in masks:
         assert _bits(mask) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
