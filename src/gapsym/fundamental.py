@@ -117,12 +117,11 @@ class RedChecks(NamedTuple):
 def red_equivalence(T: TwoGen, g: int) -> RedChecks:
     """The three red predicates of the gap g."""
     S = T.semigroup()
-    d = _gap_module(S, g, T.gap_to_lattice(g))
-    a, b = d.cells[0]
+    a, b = T.gap_to_lattice(g)
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),
         in_rectangle=(1 <= a <= T.beta // 2 and 1 <= b <= T.alpha // 2),
-        wilf_nonpositive=(d.wilf <= 0),
+        wilf_nonpositive=(_gap_module(S, g).wilf <= 0),
     )
 
 

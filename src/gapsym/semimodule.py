@@ -109,58 +109,76 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     return GammaSemimodule(S, keep, mask, cells)
 
 
-def _gap_module(S: NumericalSemigroup, g: int, cell=None) -> GammaSemimodule:
+def _gap_module(S: NumericalSemigroup, g: int) -> GammaSemimodule:
     """The module [0, g] of a gap g of S, built without `make_semimodule`.
 
     No normalization or peel is needed: 0 is the least generator, g is not
     in 0 + S because it is a gap, and 0 is not in g + S because g > 0, so
     (0, g) is already the minimal lean system, ascending, and the module's
-    membership int is S's OR that int shifted up by g.  With one nonzero
-    generator there is no cell order to sort.  `cell` is g's lattice cell
-    when the caller has it.  The caller guarantees that g is a gap.
+    membership int is S's OR that int shifted up by g.  The caller
+    guarantees that g is a gap.
     """
     table = S._table
-    return GammaSemimodule(S, (0, g), table | table << g, None if cell is None else (cell,))
+    return GammaSemimodule(S, (0, g), table | table << g)
+
+
+def _gap_rows(S: NumericalSemigroup, gaps):
+    """Yield (g, conductor, wilf, mask) of [0, g] for each gap g, in the
+    order given, with no module built; mask is the finite gap mask.
+
+    x is a gap of [0, g] = S u (g + S) when x is a gap of S and x - g is
+    negative or a gap of S, so with G the gap mask of S the module's is
+    G & ((G << g) | (2^g - 1)).  Its bit length is the conductor, and the
+    Wilf number 2 * delta - conductor is the conductor less twice its gap
+    count.  The caller guarantees that each g is a gap.
+    """
+    G = ~S._table
+    for g in gaps:
+        mask = G & ((G << g) | ((1 << g) - 1))
+        c = mask.bit_length()
+        yield g, c, c - 2 * mask.bit_count(), mask
+
+
+def _gap_flags(S: NumericalSemigroup, rows):
+    """For each `_gap_rows` row of S, yield (g, conductor, wilf, fixed_point,
+    selfdual, symmetric, double): `is_fixed_point`, `is_selfdual` and
+    `is_symmetric_sm` of [0, g], each its predicate's scan on finite masks,
+    and whether 2g is in S, that is in [0, g], read off the row's mask.
+
+    `member` holds S below N = c(S) + g + m(S), m the multiplicity.  With
+    generators 0 and g, `_syzygy_mask` scans S n (g + S), which is member &
+    member << g below N, and `_dual_mask` scans S n (S - g), which is member
+    & member >> g below N - g.  `_minimal` is exact inside each window, and
+    no minimal generator lies past it: the syzygy module holds every x from
+    c(S) + g up and the dual every x from c(S) up, so past its window x - m
+    is in it too.  `_is_translate`'s generator mask is 1 | 1 << g.  Fixed
+    point and selfdual stay two scans, each a check on the other, though
+    `is_fixed_point` proves they agree for ed 2.
+    """
+    gens = S.generators
+    table = S._table
+    width = S.conductor + gens[0]
+    for g, c, w, mask in rows:
+        member = table & ((1 << (width + g)) - 1)
+        syz = _minimal(member & member << g, gens)
+        dual = _minimal(member & member >> g, gens)
+        genmask = 1 | 1 << g
+        yield (
+            g, c, w,
+            syz == genmask * (syz & -syz),
+            dual == genmask * (dual & -dual),
+            mask + int(bin(mask)[:1:-1], 2) == (1 << c) - 1,
+            not mask >> 2 * g & 1,
+        )
 
 
 def _gap_scans(T: TwoGen) -> dict:
-    """Scan the module [0, g] of every gap g of <alpha, beta> in one walk.
-
-    Maps the cell (a, b) of each gap g, in the order of `T.walk`, to the
-    tuple (g, conductor, wilf, fixed_point, selfdual, symmetric, double):
-    the conductor and Wilf number of [0, g], `is_fixed_point`,
-    `is_selfdual` and `is_symmetric_sm` of it, and whether 2g is a member of
-    S.  No module is built; each flag is the scan its predicate makes, on
-    the membership int table | table << g that `_gap_module` would hold.
-    With the two generators 0 and g, the running OR of `_syzygy_mask`
-    leaves table & table << g, the AND of `_dual_mask` is table & table >>
-    g, and `_is_translate`'s generator mask is 1 | 1 << g.  The fixed point
-    and selfdual flags stay two scans, each a check on the other, although
-    `is_fixed_point` proves they agree for ed 2; `is_symmetric_sm` proves
-    the symmetry sum.  The Wilf number is 2 * delta - conductor, delta the
-    conductor less the gap count.
-    """
+    """Map the cell of each gap g of <alpha, beta>, in the order of
+    `T.walk`, to the `_gap_flags` row of [0, g]."""
     S = T.semigroup()
-    table = S._table
-    gens = S.generators
-    scans = {}
-    for a, b, g in T.walk():
-        up = table << g
-        gaps = ~(table | up)
-        c = gaps.bit_length()
-        genmask = 1 | 1 << g
-        syz = _minimal(table & up, gens)
-        dual = _minimal(table & table >> g, gens)
-        scans[a, b] = (
-            g,
-            c,
-            c - 2 * gaps.bit_count(),
-            syz == genmask * (syz & -syz),
-            dual == genmask * (dual & -dual),
-            gaps + int(bin(gaps)[:1:-1], 2) == (1 << c) - 1,
-            (table >> 2 * g) & 1 == 1,
-        )
-    return scans
+    walk = list(T.walk())
+    rows = _gap_flags(S, _gap_rows(S, [g for _, _, g in walk]))
+    return {(a, b): row for (a, b, _), row in zip(walk, rows)}
 
 
 def is_lean(S: NumericalSemigroup, values) -> bool:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import Ambiguous, InconsistentInput, PartitionViolation
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import _gap_module
+from .semimodule import _gap_rows
 from .wilf import _wilf_rows
 
 
@@ -472,36 +472,22 @@ def gap_conductor_partition(S: NumericalSemigroup):
     member of an odd class (always Wilf number zero) is flagged the same way.
     """
     by_conductor = {}
-    for g in S.gaps:
-        d = _gap_module(S, g)
-        buckets = by_conductor.setdefault(d.conductor, {})
-        buckets.setdefault(abs(d.wilf), []).append((g, d.wilf))
+    for g, c, w, _ in _gap_rows(S, S.gaps):
+        by_conductor.setdefault(c, {}).setdefault(abs(w), []).append((g, w))
     out = []
-    for c in sorted(by_conductor):
-        buckets = by_conductor[c]
+    for c, buckets in sorted(by_conductor.items()):
         members = sorted(g for group in buckets.values() for g, _ in group)
-        pairs = []
-        unpaired = []
-        for w in sorted(buckets):
-            group = buckets[w]
+        pairs, unpaired = [], []
+        for _, group in sorted(buckets.items()):
             if len(group) == 2:
                 (g, _), (h, _) = group
                 pairs.append((g, h))
             else:
                 unpaired.extend(group)
         self_symmetric = None
-        if len(members) == 1:
-            self_symmetric = members[0]
-        elif len(unpaired) == 1 and unpaired[0][1] == 0:
+        if len(unpaired) == 1 and (len(members) == 1 or unpaired[0][1] == 0):
             self_symmetric = unpaired[0][0]
-        out.append(
-            GapClass(
-                conductor=c,
-                members=tuple(members),
-                pairs=tuple(pairs),
-                self_symmetric=self_symmetric,
-            )
-        )
+        out.append(GapClass(c, tuple(members), tuple(pairs), self_symmetric))
     return out
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import NotAGap
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import _gap_module, is_fixed_point, is_selfdual, is_symmetric_sm
+from .semimodule import _gap_flags, _gap_module, _gap_rows, is_fixed_point, is_selfdual, is_symmetric_sm
 
 
 class WilfReport(NamedTuple):
@@ -30,7 +30,7 @@ def wilf_gap(S: NumericalSemigroup, g: int) -> int:
     """Wilf number of the module [0, g], whose ed is 2; any base."""
     if S.contains(g) or g < 0:
         raise NotAGap(f"{g} is not a gap of {S!r}")
-    return _gap_module(S, g).wilf
+    return next(_gap_rows(S, (g,)))[2]
 
 
 def _wilf_number(T: TwoGen, a: int, b: int) -> int:
@@ -107,8 +107,8 @@ class ZeroWilfChecks(NamedTuple):
 
 def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
     """Evaluate all five predicates for the module [0, g] independently."""
-    d = _gap_module(T.semigroup(), g, T.gap_to_lattice(g))
-    a, b = d.cells[0]
+    a, b = T.gap_to_lattice(g)
+    d = _gap_module(T.semigroup(), g)
     return ZeroWilfChecks(
         wilf_zero=(d.wilf == 0),
         on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
@@ -124,10 +124,5 @@ def zero_wilf_survey_general(S: NumericalSemigroup):
     Rows are (gap, wilf, fixed_point, selfdual, symmetric); used to probe how
     the two-generator equivalences fail for more generators.
     """
-    rows = []
-    for g in S.gaps:
-        d = _gap_module(S, g)
-        if d.wilf != 0:
-            continue
-        rows.append((g, 0, is_fixed_point(d), is_selfdual(d), is_symmetric_sm(d)))
-    return rows
+    zero = (row for row in _gap_rows(S, S.gaps) if row[2] == 0)
+    return [(g, 0, *flags) for g, _, _, *flags, _ in _gap_flags(S, zero)]

@@ -10,7 +10,7 @@ replays them.  A `reconstruct` entry also holds the text of its input file;
 its argv and stderr name that file as `{input}`.  A change that means to
 alter some output regenerates the manifest and names each argv whose entry
 changed.  Runs that take over 1 s are left out of the corpus:
-`classes --gens 400,401` (about 4 s), the ed-229 `semimodule` over <400, 401>
+`classes --gens 400,401` (about 1.5 s), the ed-229 `semimodule` over <400, 401>
 (about 1 s) and `survey --max-beta 40`; the script names any run in it that
 takes longer.  Some stderr texts quote Python's
 own messages (argparse, the JSON decoder, the int digit limit), so the

@@ -1,6 +1,7 @@
 """The module [0, g] of a gap, built directly by `_gap_module`, against the
-same module built through `make_semimodule`, and the per-gap checks that
-read it against their definitions on the `make_semimodule` module."""
+same module built through `make_semimodule`; the per-gap checks that read it
+against their definitions on the `make_semimodule` module; and the row scan
+`_gap_rows`/`_gap_flags`, which builds no module, against both."""
 
 from functools import reduce
 from operator import or_
@@ -8,6 +9,7 @@ from operator import or_
 import pytest
 
 from gapsym import (
+    GammaSemimodule,
     GapClass,
     NumericalSemigroup,
     RedChecks,
@@ -27,7 +29,8 @@ from gapsym import (
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )
-from gapsym.semimodule import _dual_generators_scan, _gap_module, _gap_scans
+from gapsym.oracle import enumerate_semigroups_by_genus
+from gapsym.semimodule import _dual_generators_scan, _gap_flags, _gap_module, _gap_rows, _gap_scans
 from gapsym.survey import coprime_pairs, run_survey
 
 BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
@@ -77,10 +80,7 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
             assert wilf_gap(S, g) == ref.ed * ref.delta - ref.conductor
             if T is None:
                 continue
-            # the lazy cells and the cell a caller passes in agree
-            with_cell = _gap_module(S, g, T.cell_of(g))
-            assert with_cell.min_generators == ref.min_generators
-            assert d.cells == with_cell.cells == ref.cells
+            assert d.cells == ref.cells
             assert zero_wilf_equivalences(T, g) == _zero_wilf_by_definition(T, g, ref)
             assert red_equivalence(T, g) == RedChecks(
                 double_in_semigroup=S.contains(2 * g),
@@ -135,13 +135,57 @@ def _reference_gap_conductor_partition(S):
     return out
 
 
+def _rows_from_make_semimodule(S, gaps):
+    # `_gap_rows` read off modules built by make_semimodule
+    for g in gaps:
+        ref = make_semimodule(S, [0, g])
+        yield g, ref.conductor, ref.wilf, ~ref._mask
+
+
 def test_gap_classes_match_a_build_on_make_semimodule(monkeypatch):
     sgs = _semigroups() + [NumericalSemigroup([60, 67]), NumericalSemigroup([100, 113, 127])]
     direct = [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
     assert [classes for classes, _ in direct] == [_reference_gap_conductor_partition(S) for S in sgs]
     for mod in (symmetry, wilf):
-        monkeypatch.setattr(mod, "_gap_module", lambda S, g, cell=None: make_semimodule(S, [0, g]))
+        monkeypatch.setattr(mod, "_gap_rows", _rows_from_make_semimodule)
     assert direct == [(gap_conductor_partition(S), zero_wilf_survey_general(S)) for S in sgs]
+
+
+def test_gap_rows_and_flags_match_the_module_predicates():
+    # every coprime pair with beta <= 30, the larger bases and every
+    # semigroup up to genus 14; gaps are fed in descending order, which the
+    # rows must keep
+    for S in _semigroups() + enumerate_semigroups_by_genus(14):
+        got = list(_gap_flags(S, _gap_rows(S, S.gaps[::-1])))
+        want = []
+        for g in S.gaps[::-1]:
+            d = _gap_module(S, g)
+            want.append((g, d.conductor, d.wilf, is_fixed_point(d), is_selfdual(d),
+                         is_symmetric_sm(d), S.contains(2 * g)))
+        assert got == want, S
+        # the mask of each row is the module's gap mask
+        assert [mask for *_, mask in _gap_rows(S, S.gaps)] == [~_gap_module(S, g)._mask for g in S.gaps]
+
+
+def test_gap_scans_build_no_module(monkeypatch):
+    built = []
+    init = GammaSemimodule.__init__
+
+    def counted(self, base, min_generators, *args):
+        built.append(tuple(min_generators))
+        init(self, base, min_generators, *args)
+
+    monkeypatch.setattr(GammaSemimodule, "__init__", counted)
+    for gens in ([60, 67], [100, 113, 127], [7, 11, 13, 17]):
+        S = NumericalSemigroup(gens)
+        gap_conductor_partition(S)
+        zero_wilf_survey_general(S)
+        if len(gens) == 2:
+            _gap_scans(S.two_gen())
+    assert built == []
+    # the count sees a build
+    make_semimodule(S, [0, S.gaps[0]])
+    assert built == [(0, S.gaps[0])]
 
 
 def _survey_builds(monkeypatch, checks):
