@@ -8,8 +8,8 @@ from typing import NamedTuple
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import _gap_module
 from .symmetry import _rows_fg, _symmetric_count, _walk_cells
+from .wilf import wilf_gap
 
 
 def fundamental_gaps(S: NumericalSemigroup) -> tuple:
@@ -121,7 +121,7 @@ def red_equivalence(T: TwoGen, g: int) -> RedChecks:
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),
         in_rectangle=(1 <= a <= T.beta // 2 and 1 <= b <= T.alpha // 2),
-        wilf_nonpositive=(_gap_module(S, g).wilf <= 0),
+        wilf_nonpositive=(wilf_gap(S, g) <= 0),
     )
 
 

@@ -26,9 +26,9 @@ class GammaSemimodule:
 
     `mask` is the membership int its builder already holds: bit x is set
     exactly when x is a member, so every bit from the conductor up is set
-    and the int is negative.  The builders (`make_semimodule`,
-    `_gap_module`) guarantee that it is the module the minimal generators
-    generate, the OR of the base's membership int shifted up by each.
+    and the int is negative.  The one builder, `make_semimodule`, guarantees
+    that it is the module the minimal generators generate, the OR of the
+    base's membership int shifted up by each.
 
     `cells` are the lattice cells of the nonzero generators, in generator
     order, when the caller already has them; otherwise they are computed on
@@ -78,7 +78,8 @@ class GammaSemimodule:
 
 def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
     """Normalize a generating set and reduce it to the minimal lean system."""
-    generators = tuple(generators)  # read once: it may be a one-shot iterator
+    # read once (it may be a one-shot iterator) into a set: a repeat shifts once
+    generators = {*generators}
     if not generators:
         raise EmptyInput("need at least one generator")
     base = min(generators)
@@ -107,19 +108,6 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
         cells = tuple([(a, (product - a * alpha - g) // beta) for a, g in cols])
         keep = [0, *[g for _, g in cols]]
     return GammaSemimodule(S, keep, mask, cells)
-
-
-def _gap_module(S: NumericalSemigroup, g: int) -> GammaSemimodule:
-    """The module [0, g] of a gap g of S, built without `make_semimodule`.
-
-    No normalization or peel is needed: 0 is the least generator, g is not
-    in 0 + S because it is a gap, and 0 is not in g + S because g > 0, so
-    (0, g) is already the minimal lean system, ascending, and the module's
-    membership int is S's OR that int shifted up by g.  The caller
-    guarantees that g is a gap.
-    """
-    table = S._table
-    return GammaSemimodule(S, (0, g), table | table << g)
 
 
 def _gap_rows(S: NumericalSemigroup, gaps):
@@ -151,7 +139,8 @@ def _gap_flags(S: NumericalSemigroup, rows):
     & member >> g below N - g.  `_minimal` is exact inside each window, and
     no minimal generator lies past it: the syzygy module holds every x from
     c(S) + g up and the dual every x from c(S) up, so past its window x - m
-    is in it too.  `_is_translate`'s generator mask is 1 | 1 << g.  Fixed
+    is in it too.  The generator mask that `_is_translate` compares with is
+    1 | 1 << g, and `_is_symmetric_mask` reads the row's gap mask.  Fixed
     point and selfdual stay two scans, each a check on the other, though
     `is_fixed_point` proves they agree for ed 2.
     """
@@ -160,14 +149,12 @@ def _gap_flags(S: NumericalSemigroup, rows):
     width = S.conductor + gens[0]
     for g, c, w, mask in rows:
         member = table & ((1 << (width + g)) - 1)
-        syz = _minimal(member & member << g, gens)
-        dual = _minimal(member & member >> g, gens)
         genmask = 1 | 1 << g
         yield (
             g, c, w,
-            syz == genmask * (syz & -syz),
-            dual == genmask * (dual & -dual),
-            mask + int(bin(mask)[:1:-1], 2) == (1 << c) - 1,
+            _is_translate(_minimal(member & member << g, gens), genmask),
+            _is_translate(_minimal(member & member >> g, gens), genmask),
+            _is_symmetric_mask(mask, c),
             not mask >> 2 * g & 1,
         )
 
@@ -331,14 +318,30 @@ def delta_formula(delta: GammaSemimodule) -> int:
     return path.max_syzygy - T.alpha - T.beta + 1 - S.delta + area
 
 
-def _is_translate(mins: int, delta: GammaSemimodule) -> bool:
+def _is_translate(mins: int, genmask: int) -> bool:
     # mins holds minimal generators; a shift keeps them minimal, so they
-    # generate a translate of delta exactly when they are its generators
-    # shifted up by the least of them, mins & -mins as a power of two.
-    genmask = 0
-    for g in delta.min_generators:
-        genmask |= 1 << g
+    # generate a translate of the module with generator mask genmask exactly
+    # when they are its generators shifted up by the least of them,
+    # mins & -mins as a power of two.
     return mins == genmask * (mins & -mins)
+
+
+def _generator_mask(delta: GammaSemimodule) -> int:
+    # the minimal generators are distinct, so their powers of two sum to
+    # their OR
+    return sum([1 << g for g in delta.min_generators])
+
+
+def _is_symmetric_mask(gaps: int, c: int) -> bool:
+    """Whether x below c is a gap exactly when c - 1 - x is not, for a gap
+    mask of bit length c.
+
+    The slice drops "0b" and reverses the c bits.  The mask is symmetric
+    exactly when the reversed mask is gaps ^ (2^c - 1); as both lie in
+    [0, 2^c), that is their sum being 2^c - 1, because a + b = 2^c - 1
+    forces b = a ^ (2^c - 1).  c = 0 gives 0 + 0 == 0.
+    """
+    return gaps + int(bin(gaps)[:1:-1], 2) == (1 << c) - 1
 
 
 def is_fixed_point(delta: GammaSemimodule) -> bool:
@@ -361,7 +364,7 @@ def is_fixed_point(delta: GammaSemimodule) -> bool:
     """
     if delta.ed < 2:
         raise PrincipalModule("fixed points are defined via the syzygy module")
-    return _is_translate(_syzygy_mask(delta), delta)
+    return _is_translate(_syzygy_mask(delta), _generator_mask(delta))
 
 
 def is_selfdual(delta: GammaSemimodule) -> bool:
@@ -375,20 +378,15 @@ def is_selfdual(delta: GammaSemimodule) -> bool:
     A module with two generators is selfdual exactly when it is a fixed
     point; the proof is in `is_fixed_point`.
     """
-    return _is_translate(_dual_mask(delta), delta)
+    return _is_translate(_dual_mask(delta), _generator_mask(delta))
 
 
 def is_symmetric_sm(delta: GammaSemimodule) -> bool:
     """Whether x is a member iff conductor - 1 - x is not, below the conductor.
 
-    The gap mask has exactly c = conductor bits, and the slice drops "0b"
-    and reverses them.  The module is symmetric exactly when the reversed
-    mask is gaps ^ (2^c - 1); as both lie in [0, 2^c), that is their sum
-    being 2^c - 1, because a + b = 2^c - 1 forces b = a ^ (2^c - 1).
-    Conductor 0 gives 0 + 0 == 0.
+    The gap mask has exactly conductor bits, so `_is_symmetric_mask` applies.
     """
-    gaps = ~delta._mask
-    return gaps + int(bin(gaps)[:1:-1], 2) == (1 << delta.conductor) - 1
+    return _is_symmetric_mask(~delta._mask, delta.conductor)
 
 
 class PicardOrbit(NamedTuple):

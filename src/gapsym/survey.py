@@ -25,7 +25,7 @@ from .fundamental import RedChecks, _fundamental_count, compare_counts
 from .semigroup import NumericalSemigroup
 from .semimodule import _gap_scans
 from .symmetry import (
-    _smaller_triangle,
+    _smaller_side,
     card_formulas,
     gap_partition,
     reconstruct_from_symmetric,
@@ -64,7 +64,8 @@ def _check_partition(T, blocks, scans):
 
 def _check_reconstruct(T, blocks, scans):
     part = blocks()
-    side, sg = _smaller_triangle(part.t_u, part.t_r)
+    side = _smaller_side(len(part.t_u), len(part.t_r))
+    sg = part.t_u if side == "T_u" else part.t_r
     got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, part.ssg)
     if got != list(T.semigroup().gaps):
         yield "violations", "reconstruction differs"

@@ -74,12 +74,6 @@ def _smaller_side(t_u: int, t_r: int) -> str:
     return "T_u" if t_u <= t_r else "T_r"
 
 
-def _smaller_triangle(tu: frozenset, tr: frozenset):
-    """(side, cells) of the smaller of two built triangles."""
-    side = _smaller_side(len(tu), len(tr))
-    return side, tu if side == "T_u" else tr
-
-
 def _sg_rows(T: TwoGen):
     """(side, row intervals) of the smaller triangle, sized by `_block_counts`."""
     t_u, t_r, _ = _block_counts(T)
@@ -90,9 +84,11 @@ def _sg_rows(T: TwoGen):
 def supersymmetric_gaps(T: TwoGen):
     """The smaller of the two triangles, with its side tag.
 
-    Ties go to the upper triangle; the tag records the choice.
+    Ties go to the upper triangle; the tag records the choice.  Only the
+    smaller triangle is built, from `_sg_rows`.
     """
-    return _smaller_triangle(triangle_u(T), triangle_r(T))
+    side, rows = _sg_rows(T)
+    return side, frozenset(_walk_cells(rows))
 
 
 def self_symmetric_gaps(T: TwoGen) -> frozenset:
@@ -129,7 +125,7 @@ def border_transport(T: TwoGen):
     column joins the right-hand side.  Returns (side, lhs, rhs).
     """
     tu, tr = triangle_u(T), triangle_r(T)
-    side, _ = _smaller_triangle(tu, tr)
+    side = _smaller_side(len(tu), len(tr))
     lhs = translate_tau(reflect_alpha(T, right_border(T, tu)))
     rhs = reflect_beta(T, right_border(T, tr))
     if side == "T_r":

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import NotAGap
 from .semigroup import NumericalSemigroup, TwoGen
-from .semimodule import _gap_flags, _gap_module, _gap_rows, is_fixed_point, is_selfdual, is_symmetric_sm
+from .semimodule import _gap_flags, _gap_rows
 
 
 class WilfReport(NamedTuple):
@@ -106,16 +106,14 @@ class ZeroWilfChecks(NamedTuple):
 
 
 def zero_wilf_equivalences(T: TwoGen, g: int) -> ZeroWilfChecks:
-    """Evaluate all five predicates for the module [0, g] independently."""
-    a, b = T.gap_to_lattice(g)
-    d = _gap_module(T.semigroup(), g)
-    return ZeroWilfChecks(
-        wilf_zero=(d.wilf == 0),
-        on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
-        fixed_point=is_fixed_point(d),
-        selfdual=is_selfdual(d),
-        symmetric=is_symmetric_sm(d),
-    )
+    """Evaluate all five predicates for the module [0, g] independently: the
+    half-line test reads the cell of g, W the `_gap_rows` row of [0, g], and
+    the fixed point, selfdual and symmetric flags that row's three
+    `_gap_flags` scans, in field order; no module is built."""
+    a, b = T.gap_to_lattice(g)  # raises NotAGap off the gaps
+    S = T.semigroup()
+    _, _, w, *flags, _ = next(_gap_flags(S, _gap_rows(S, (g,))))
+    return ZeroWilfChecks(w == 0, T.alpha == 2 * b or T.beta == 2 * a, *flags)
 
 
 def zero_wilf_survey_general(S: NumericalSemigroup):

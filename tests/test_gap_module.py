@@ -1,10 +1,7 @@
-"""The module [0, g] of a gap, built directly by `_gap_module`, against the
-same module built through `make_semimodule`; the per-gap checks that read it
-against their definitions on the `make_semimodule` module; and the row scan
-`_gap_rows`/`_gap_flags`, which builds no module, against both."""
-
-from functools import reduce
-from operator import or_
+"""The module [0, g] of a gap: the per-gap checks, which read the row scan
+`_gap_rows`/`_gap_flags` and build no module, against their definitions on
+the module `make_semimodule(S, [0, g])`, and the rows and flags themselves
+against that module and its predicates."""
 
 import pytest
 
@@ -30,7 +27,7 @@ from gapsym import (
     zero_wilf_survey_general,
 )
 from gapsym.oracle import enumerate_semigroups_by_genus
-from gapsym.semimodule import _dual_generators_scan, _gap_flags, _gap_module, _gap_rows, _gap_scans
+from gapsym.semimodule import _dual_generators_scan, _gap_flags, _gap_rows, _gap_scans
 from gapsym.survey import coprime_pairs, run_survey
 
 BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
@@ -39,18 +36,6 @@ BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
 def _semigroups():
     """Every coprime pair with beta <= 30, then the four larger bases."""
     return [NumericalSemigroup(p) for p in coprime_pairs(30)] + [NumericalSemigroup(b) for b in BASES]
-
-
-def _assert_same_module(d, ref):
-    S = ref.base
-    assert d.base is S
-    assert d.min_generators == ref.min_generators
-    # the builder's mask is the module its minimal generators generate
-    assert d._mask == reduce(or_, (S._table << g for g in d.min_generators))
-    assert (d.conductor, d.delta, d.ed, d.wilf, d.gap_list) == (
-        ref.conductor, ref.delta, ref.ed, ref.wilf, ref.gap_list)
-    points = (-1, 0, S.conductor - 1, S.conductor, ref.conductor - 1, ref.conductor)
-    assert [d.member(x) for x in points] == [ref.member(x) for x in points]
 
 
 def _zero_wilf_by_definition(T, g, ref):
@@ -75,20 +60,17 @@ def test_gap_module_and_per_gap_checks_match_make_semimodule():
         want = {}
         for g in S.gaps:
             ref = make_semimodule(S, [0, g])
-            d = _gap_module(S, g)
-            _assert_same_module(d, ref)
             assert wilf_gap(S, g) == ref.ed * ref.delta - ref.conductor
             if T is None:
                 continue
-            assert d.cells == ref.cells
             assert zero_wilf_equivalences(T, g) == _zero_wilf_by_definition(T, g, ref)
             assert red_equivalence(T, g) == RedChecks(
                 double_in_semigroup=S.contains(2 * g),
                 in_rectangle=(T.cell_of(g) in rect),
                 wilf_nonpositive=(ref.ed * ref.delta - ref.conductor <= 0),
             )
-            want[T.cell_of(g)] = (g, d.conductor, d.wilf, is_fixed_point(d), is_selfdual(d),
-                                   is_symmetric_sm(d), S.contains(2 * g))
+            want[T.cell_of(g)] = (g, ref.conductor, ref.wilf, is_fixed_point(ref), is_selfdual(ref),
+                                   is_symmetric_sm(ref), S.contains(2 * g))
         if T is not None:
             table = _gap_scans(T)
             assert table == want
@@ -102,7 +84,7 @@ def _reference_gap_conductor_partition(S):
     by_conductor = {}
     wilf = {}
     for g in S.gaps:
-        d = _gap_module(S, g)
+        d = make_semimodule(S, [0, g])
         by_conductor.setdefault(d.conductor, []).append(g)
         wilf[g] = d.wilf
     out = []
@@ -157,14 +139,12 @@ def test_gap_rows_and_flags_match_the_module_predicates():
     # rows must keep
     for S in _semigroups() + enumerate_semigroups_by_genus(14):
         got = list(_gap_flags(S, _gap_rows(S, S.gaps[::-1])))
-        want = []
-        for g in S.gaps[::-1]:
-            d = _gap_module(S, g)
-            want.append((g, d.conductor, d.wilf, is_fixed_point(d), is_selfdual(d),
-                         is_symmetric_sm(d), S.contains(2 * g)))
+        modules = [make_semimodule(S, [0, g]) for g in S.gaps[::-1]]
+        want = [(g, d.conductor, d.wilf, is_fixed_point(d), is_selfdual(d),
+                 is_symmetric_sm(d), S.contains(2 * g)) for g, d in zip(S.gaps[::-1], modules)]
         assert got == want, S
         # the mask of each row is the module's gap mask
-        assert [mask for *_, mask in _gap_rows(S, S.gaps)] == [~_gap_module(S, g)._mask for g in S.gaps]
+        assert [mask for *_, mask in _gap_rows(S, S.gaps[::-1])] == [~d._mask for d in modules]
 
 
 def test_gap_scans_build_no_module(monkeypatch):
@@ -181,7 +161,13 @@ def test_gap_scans_build_no_module(monkeypatch):
         gap_conductor_partition(S)
         zero_wilf_survey_general(S)
         if len(gens) == 2:
-            _gap_scans(S.two_gen())
+            T = S.two_gen()
+            _gap_scans(T)
+            # the per-gap checks read the same rows
+            for g in S.gaps:
+                zero_wilf_equivalences(T, g)
+                red_equivalence(T, g)
+                wilf_gap(S, g)
     assert built == []
     # the count sees a build
     make_semimodule(S, [0, S.gaps[0]])

@@ -3,9 +3,9 @@ from itertools import chain
 from gapsym import TwoGen
 from gapsym.fundamental import fundamental_cells
 from gapsym.render import _FILL, CELL, DEFAULT_LAYERS, LAYERS, render_svg
-from gapsym.semimodule import _gap_module
+from gapsym import make_semimodule
 from gapsym.survey import coprime_pairs
-from gapsym.symmetry import _smaller_triangle, self_symmetric_gaps, triangle_r, triangle_u
+from gapsym.symmetry import self_symmetric_gaps, triangle_r, triangle_u
 
 
 def _reference_rects(T, cells, color, opacity):
@@ -40,7 +40,7 @@ def _reference_svg(T, layers, grid):
     if "fg" in layers:
         el += _reference_rects(T, fundamental_cells(T), _FILL["fg"], "55%")
     if "sg" in layers:
-        _, sg = _smaller_triangle(tu, tr)
+        sg = tu if len(tu) <= len(tr) else tr
         el += _reference_rects(T, sg, _FILL["sg"], "70%")
     if "ssg" in layers:
         el += _reference_rects(T, self_symmetric_gaps(T), _FILL["ssg"], "70%")
@@ -86,6 +86,6 @@ def test_render_svg_matches_the_per_cell_reference():
     for alpha, beta in chain(coprime_pairs(20), [(41, 45), (76, 85), (80, 81)]):
         T = TwoGen(alpha, beta)
         S = T.semigroup()
-        grid = [(a, b, g, _gap_module(S, g).wilf) for a, b, g in T.walk()]
+        grid = [(a, b, g, make_semimodule(S, [0, g]).wilf) for a, b, g in T.walk()]
         for layers in _LAYER_SETS:
             assert render_svg(T, layers) == _reference_svg(T, layers, grid), (alpha, beta, layers)

@@ -31,7 +31,6 @@ from gapsym.semimodule import (
     PICARD_MAX_STEPS,
     _dual_generators_scan,
     _dual_mask,
-    _gap_module,
     _syzygy_mask,
 )
 from gapsym.survey import coprime_pairs
@@ -56,6 +55,28 @@ def test_make_semimodule_needs_a_generator():
         make_semimodule(make_semigroup([3, 5]), [])
     with pytest.raises(EmptyInput, match="^need at least one generator$"):
         make_semimodule(S57, iter([]))
+
+
+class _ShiftCountingTable(int):
+    """A membership int that counts the shifts taken of it."""
+
+    shifts = 0
+
+    def __lshift__(self, n):
+        type(self).shifts += 1
+        return int(self) << n
+
+
+def test_make_semimodule_shifts_each_distinct_generator_once():
+    S = make_semigroup([400, 401])
+    S.two_gen()
+    want = make_semimodule(S, [0, 7])
+    S._table = _ShiftCountingTable(S._table)
+    # 10^5 copies of 7 and three of a member past the conductor
+    d = make_semimodule(S, [0, *[7] * 10**5, *[S.conductor + 3] * 3])
+    assert (d.min_generators, d._mask, d.cells) == (want.min_generators, want._mask, want.cells)
+    # one shift for 0 and one for 7; the member past the conductor takes none
+    assert _ShiftCountingTable.shifts == 2
 
 
 def test_make_semimodule_normalizes_and_minimalizes():
@@ -198,7 +219,7 @@ def test_two_generator_syzygy_is_the_dual_shifted_up():
     gaps = 0
     for S in enumerate_semigroups_by_genus(14):
         for g in S.gaps:
-            d = _gap_module(S, g)
+            d = make_semimodule(S, [0, g])
             assert _syzygy_mask(d) == _dual_mask(d) << g, (S.generators, g)
             assert is_fixed_point(d) == is_selfdual(d), (S.generators, g)
             gaps += 1
