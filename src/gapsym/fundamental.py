@@ -8,8 +8,8 @@ from typing import NamedTuple
 
 from .errors import NotASemigroup, XNotInGaps
 from .semigroup import NumericalSemigroup, TwoGen
+from .semimodule import _gap_rows
 from .symmetry import _rows_fg, _symmetric_count, _walk_cells
-from .wilf import wilf_gap
 
 
 def fundamental_gaps(S: NumericalSemigroup) -> tuple:
@@ -115,13 +115,19 @@ class RedChecks(NamedTuple):
 
 
 def red_equivalence(T: TwoGen, g: int) -> RedChecks:
-    """The three red predicates of the gap g."""
+    """The three red predicates of the gap g.
+
+    The cell lookup is the one membership test of g: it raises NotAGap off
+    the gaps, so W is read straight off the `_gap_rows` row of [0, g].
+    That 2g in S forces W <= 0 holds over any base; the proof is in
+    `wilf.wilf_gap`.
+    """
     S = T.semigroup()
     a, b = T.gap_to_lattice(g)
     return RedChecks(
         double_in_semigroup=S.contains(2 * g),
         in_rectangle=(1 <= a <= T.beta // 2 and 1 <= b <= T.alpha // 2),
-        wilf_nonpositive=(wilf_gap(S, g) <= 0),
+        wilf_nonpositive=(next(_gap_rows(S, (g,)))[2] <= 0),
     )
 
 

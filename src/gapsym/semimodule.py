@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import EmptyInput, PrincipalModule
-from .semigroup import NumericalSemigroup, TwoGen, _bits, _minimal
+from .errors import EmptyInput, NotTwoGenerated, PrincipalModule
+from .semigroup import NumericalSemigroup, _bits, _minimal
 
 
 class GammaSemimodule:
@@ -31,13 +31,13 @@ class GammaSemimodule:
     base's membership int shifted up by each.
 
     `cells` are the lattice cells of the nonzero generators, in generator
-    order, when the caller already has them; otherwise they are computed on
-    first use.
+    order, worked out by the builder for a two-generator base (`()` for a
+    principal module) and None for any other base.
     """
 
     __slots__ = ("base", "min_generators", "conductor", "delta", "ed", "wilf", "_mask", "_cells", "_path")
 
-    def __init__(self, base: NumericalSemigroup, min_generators, mask: int, cells=None):
+    def __init__(self, base: NumericalSemigroup, min_generators, mask: int, cells):
         self.base = base
         self.min_generators = tuple(min_generators)
         self._cells = cells
@@ -63,8 +63,7 @@ class GammaSemimodule:
     def cells(self):
         """(a, b) cells of the nonzero generators (two-generator base only)."""
         if self._cells is None:
-            T = self.base.two_gen()
-            self._cells = tuple(T.gap_to_lattice(g) for g in self.min_generators if g != 0)
+            raise NotTwoGenerated(f"minimal generators are {self.base.generators}")
         return self._cells
 
     def lattice_points(self):
@@ -95,7 +94,7 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
             mask |= table << x
     keep = _bits(_minimal(mask, S.generators))
     cells = None
-    if len(S.generators) == 2 and len(keep) > 1:
+    if len(S.generators) == 2:
         T = S.two_gen()
         alpha, beta, inv = T.alpha, T.beta, T._alpha_inv
         product = alpha * beta
@@ -103,7 +102,8 @@ def make_semimodule(S: NumericalSemigroup, generators) -> GammaSemimodule:
         # so `cell_of`'s arithmetic cannot fail on it: its column a is
         # -g / alpha mod beta and its row (alpha*beta - a*alpha - g) / beta.
         # Order by the gap partial order: 0 first, then column ascending (the
-        # nonzero members of a lean set are gaps in distinct columns).
+        # nonzero members of a lean set are gaps in distinct columns).  A
+        # principal module, [0], gets the empty cells.
         cols = sorted([(-g * inv % beta, g) for g in keep[1:]])
         cells = tuple([(a, (product - a * alpha - g) // beta) for a, g in cols])
         keep = [0, *[g for _, g in cols]]
@@ -159,15 +159,6 @@ def _gap_flags(S: NumericalSemigroup, rows):
         )
 
 
-def _gap_scans(T: TwoGen) -> dict:
-    """Map the cell of each gap g of <alpha, beta>, in the order of
-    `T.walk`, to the `_gap_flags` row of [0, g]."""
-    S = T.semigroup()
-    walk = list(T.walk())
-    rows = _gap_flags(S, _gap_rows(S, [g for _, _, g in walk]))
-    return {(a, b): row for (a, b, _), row in zip(walk, rows)}
-
-
 def is_lean(S: NumericalSemigroup, values) -> bool:
     """Whether all pairwise absolute differences of the set are gaps of S."""
     vals = sorted(set(values))
@@ -220,11 +211,6 @@ def dual_generators(delta: GammaSemimodule):
         a, b = delta.base.generators
         product = a * b
         return sorted([product - h for h in _path(delta).h_values])
-    return _dual_generators_scan(delta)
-
-
-def _dual_generators_scan(delta: GammaSemimodule):
-    """Minimal generators of the dual by a direct scan, ascending."""
     return _bits(_dual_mask(delta))
 
 
@@ -351,7 +337,8 @@ def is_fixed_point(delta: GammaSemimodule) -> bool:
     the mask of the generators shifted up by the least syzygy generator s0.
     The scanned generators are minimal and stay minimal under the shift by
     -s0, so they are the generators of the normalized syzygy module, which
-    is never built.
+    is never built.  A principal module has no syzygy: `_syzygy_mask` raises
+    PrincipalModule.
 
     For d = [0, g] over any base S this agrees with `is_selfdual`.  The
     syzygy module is S n (g + S) and the dual is S n (S - g), and y is in
@@ -362,8 +349,6 @@ def is_fixed_point(delta: GammaSemimodule) -> bool:
     is.  With three generators the two can differ: over <4, 5, 6> the module
     {0, 2, 3} is selfdual but not a fixed point.
     """
-    if delta.ed < 2:
-        raise PrincipalModule("fixed points are defined via the syzygy module")
     return _is_translate(_syzygy_mask(delta), _generator_mask(delta))
 
 
@@ -377,6 +362,20 @@ def is_selfdual(delta: GammaSemimodule) -> bool:
     them minimal, so they are the generators of the normalized dual module.
     A module with two generators is selfdual exactly when it is a fixed
     point; the proof is in `is_fixed_point`.
+
+    Over a symmetric base S, one where x is in S exactly when F - x is not
+    for every integer x, F = c(S) - 1, a module D is selfdual exactly when
+    it is symmetric (`is_symmetric_sm`); every <alpha, beta> is symmetric.
+    x is not in the dual S - D exactly when x + d is not in S for some d in
+    D, that is when F - x - d is in S, so when F - x is in D + S = D.  The
+    dual is therefore {x : F - x not in D}, and it is D + t exactly when, for
+    every integer y, y is in D iff k - y is not, with k = F - t.  Then k is
+    c(D) - 1: c(D) - 1 is not in D, so k - c(D) + 1 is, while every y from
+    c(D) up is in D, so nothing below k - c(D) + 1 is; that makes k - c(D) +
+    1 the least member, 0.  With k = c(D) - 1 the condition holds outright
+    for y < 0 and y >= c(D), and below the conductor it is the symmetry of
+    D.  So D is selfdual exactly when it is symmetric, and the translate is
+    t = F - c(D) + 1.
     """
     return _is_translate(_dual_mask(delta), _generator_mask(delta))
 

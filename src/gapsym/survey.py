@@ -5,10 +5,11 @@ Each check replays one structural fact on one pair and yields unlabeled
 labels each with its pair and files it.  A check reads the pair's derived
 objects through two `functools.cache` callables, each built on its first
 call and kept for the pair: `blocks()` gives the verified partition, and
-`scans()` gives the scan table of `semimodule._gap_scans`, which maps the
-cell of every gap g to the conductor, the Wilf number and the scanned
-predicates of the module [0, g], read in one walk of the gap cells with no
-module built.  A failed build is not kept, so each check that reads it
+`scans()` gives the scan table of `_gap_scans`, which maps the cell of
+every gap g to the conductor, the Wilf number and the scanned predicates of
+the module [0, g], read in one walk of the gap cells from the rows of
+`semimodule._gap_rows` and `semimodule._gap_flags`, with no module built.
+The survey is the one reader of this cell-keyed table.  A failed build is not kept, so each check that reads it
 builds it again and gets the same error.  A pair whose checks never call one
 builds nothing for it.  The known printed-sum undercount for the upper
 triangle at odd alpha is downgraded to a warning.
@@ -22,8 +23,8 @@ from typing import NamedTuple
 
 from .errors import GapsymError, InconsistentInput
 from .fundamental import RedChecks, _fundamental_count, compare_counts
-from .semigroup import NumericalSemigroup
-from .semimodule import _gap_scans
+from .semigroup import NumericalSemigroup, TwoGen
+from .semimodule import _gap_flags, _gap_rows
 from .symmetry import (
     _smaller_side,
     card_formulas,
@@ -48,6 +49,15 @@ def coprime_pairs(max_beta: int):
         for alpha in range(2, beta):
             if gcd(alpha, beta) == 1:
                 yield alpha, beta
+
+
+def _gap_scans(T: TwoGen) -> dict:
+    """Map the cell of each gap g of <alpha, beta>, in the order of
+    `T.walk`, to the `semimodule._gap_flags` row of [0, g]."""
+    S = T.semigroup()
+    walk = list(T.walk())
+    rows = _gap_flags(S, _gap_rows(S, [g for _, _, g in walk]))
+    return {(a, b): row for (a, b, _), row in zip(walk, rows)}
 
 
 def _check_partition(T, blocks, scans):

@@ -27,7 +27,17 @@ class WilfReport(NamedTuple):
 
 
 def wilf_gap(S: NumericalSemigroup, g: int) -> int:
-    """Wilf number of the module [0, g], whose ed is 2; any base."""
+    """Wilf number of the module [0, g], whose ed is 2; any base.
+
+    If 2g is in S then W([0, g]) <= 0.  D = S u (g + S) contains S, so it
+    misses finitely many naturals, and it is closed under addition: s + s'
+    is in S, s + (g + s') in g + S, and (g + s) + (g + s') = 2g + s + s' in
+    S.  So D is a numerical semigroup.  Below its conductor c(D) each member x
+    pairs with c(D) - 1 - x, a gap, since their sum c(D) - 1 is a gap; so
+    at most half of [0, c(D)) are members, and W = 2 delta - c(D) <= 0.
+    The converse fails: over <4, 5, 6, 7>, [0, 1] has gaps 2 and 3, so
+    W = 2*2 - 4 = 0, while 2 is a gap.
+    """
     if S.contains(g) or g < 0:
         raise NotAGap(f"{g} is not a gap of {S!r}")
     return next(_gap_rows(S, (g,)))[2]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapsym import InconsistentInput, TwoGen, fundamental, semimodule, survey, symmetry
+from gapsym import InconsistentInput, TwoGen, fundamental, survey, symmetry
 from gapsym.cli import _json_text, main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, coprime_pairs, run_survey
@@ -381,8 +381,10 @@ FIXED_POINT, SELFDUAL, SYMMETRIC, DOUBLE = 3, 4, 5, 6
 
 def _scans_with(i, flag):
     """The survey's scan table with field i of each row set to flag(field)."""
+    # the original, read before a test patches survey._gap_scans with this
+    scans = survey._gap_scans
     return lambda T: {cell: row[:i] + (flag(row[i]),) + row[i + 1:]
-                      for cell, row in semimodule._gap_scans(T).items()}
+                      for cell, row in scans(T).items()}
 
 
 @pytest.mark.parametrize(

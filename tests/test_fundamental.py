@@ -89,6 +89,26 @@ def test_red_equivalence():
     assert checks.all_agree() and checks.wilf_nonpositive
 
 
+class _RShiftCountingTable(int):
+    """A membership int that counts the right shifts taken of it."""
+
+    shifts = 0
+
+    def __rshift__(self, n):
+        type(self).shifts += 1
+        return int(self) >> n
+
+
+def test_red_equivalence_tests_membership_of_g_once():
+    # the cell lookup rejects a member g; only 2g is looked up in the table
+    T = TwoGen(400, 401)
+    S = T.semigroup()
+    want = red_equivalence(T, 7)
+    S._table = _RShiftCountingTable(S._table)
+    assert red_equivalence(T, 7) == want
+    assert _RShiftCountingTable.shifts == 1
+
+
 def test_fg_forces_nonpositive_wilf():
     from gapsym import wilf_gap_formula
 

@@ -27,8 +27,9 @@ from gapsym import (
     zero_wilf_survey_general,
 )
 from gapsym.oracle import enumerate_semigroups_by_genus
-from gapsym.semimodule import _dual_generators_scan, _gap_flags, _gap_rows, _gap_scans
-from gapsym.survey import coprime_pairs, run_survey
+from gapsym.semigroup import _bits
+from gapsym.semimodule import _dual_mask, _gap_flags, _gap_rows
+from gapsym.survey import _gap_scans, coprime_pairs, run_survey
 
 BASES = ([4, 6, 13], [6, 9, 20], [10, 14, 27], [7, 11, 13, 17])
 
@@ -46,7 +47,7 @@ def _zero_wilf_by_definition(T, g, ref):
         wilf_zero=(ref.ed * ref.delta - ref.conductor == 0),
         on_half_line=(T.alpha == 2 * b or T.beta == 2 * a),
         fixed_point=(syzygy(ref).min_generators == ref.min_generators),
-        selfdual=(make_semimodule(ref.base, _dual_generators_scan(ref)).min_generators == ref.min_generators),
+        selfdual=(make_semimodule(ref.base, _bits(_dual_mask(ref))).min_generators == ref.min_generators),
         # below the conductor, x is a member exactly when cd - 1 - x is not
         symmetric=({cd - 1 - x for x in gaps} == set(range(cd)) - gaps),
     )

@@ -29,7 +29,6 @@ from gapsym.oracle import brute_dual, enumerate_lean_sets, enumerate_semigroups_
 from gapsym.semigroup import _bits, _minimal
 from gapsym.semimodule import (
     PICARD_MAX_STEPS,
-    _dual_generators_scan,
     _dual_mask,
     _syzygy_mask,
 )
@@ -226,6 +225,38 @@ def test_two_generator_syzygy_is_the_dual_shifted_up():
     assert gaps == 51746
 
 
+def _assert_selfdual_iff_symmetric(d):
+    S = d.base
+    selfdual = is_selfdual(d)
+    assert selfdual == is_symmetric_sm(d), d
+    if selfdual:
+        # the translate the proof in is_selfdual names: c(S) - c(D)
+        assert _bits(_dual_mask(d))[0] == S.conductor - d.conductor, d
+    return selfdual
+
+
+def test_selfdual_is_symmetric_over_symmetric_bases():
+    # [0, g] over every symmetric semigroup up to genus 16 ...
+    bases = gaps = selfdual = 0
+    for S in enumerate_semigroups_by_genus(16):
+        if 2 * S.genus != S.conductor:
+            continue
+        bases += 1
+        for g in S.gaps:
+            selfdual += _assert_selfdual_iff_symmetric(make_semimodule(S, [0, g]))
+            gaps += 1
+    assert (bases, gaps, selfdual) == (402, 5340, 531)
+    # ... and every module of a lean set over <alpha, beta>, beta <= 9,
+    # which is symmetric
+    modules = selfdual = 0
+    for alpha, beta in coprime_pairs(9):
+        S = make_semigroup([alpha, beta])
+        for values in enumerate_lean_sets(S.two_gen()):
+            selfdual += _assert_selfdual_iff_symmetric(make_semimodule(S, values))
+            modules += 1
+    assert (modules, selfdual) == (3208, 270)
+
+
 def test_whole_semigroup_is_selfdual_and_symmetric():
     d = make_semimodule(S78, [0])
     assert is_selfdual(d)
@@ -284,20 +315,18 @@ def _closed_forms(d):
     return out
 
 
-def test_cells_and_path_agree_with_direct_construction():
-    # make_semimodule hands its cells to the module; a module built directly
-    # computes them on first use.  Both must give the same closed forms, and
-    # asking twice must not change them.
+def test_cells_come_from_the_builder():
+    # make_semimodule works out the cells of every module over a
+    # two-generator base, () for the principal [0]; asking twice must not
+    # change the closed forms.
     for alpha, beta in coprime_pairs(9):
         S = make_semigroup([alpha, beta])
-        for values in enumerate_lean_sets(S.two_gen()):
+        T = S.two_gen()
+        for values in enumerate_lean_sets(T):
             made = make_semimodule(S, values)
-            direct = GammaSemimodule(S, values, made._mask)
-            assert direct.min_generators == made.min_generators
+            assert made.cells == tuple(T.gap_to_lattice(g) for g in values[1:])
             first = _closed_forms(made)
-            assert _closed_forms(direct) == first
             assert _closed_forms(made) == first
-            assert _closed_forms(direct) == first
             assert [(a, b) for a, b, _ in made.lattice_points()] == list(made.cells)
             assert [v for _, _, v in made.lattice_points()] == list(values[1:])
 
@@ -309,10 +338,10 @@ def test_three_generator_base_keeps_the_scan():
     with pytest.raises(NotTwoGenerated):
         d.lattice_points()
     with pytest.raises(NotTwoGenerated):
-        lattice_path(GammaSemimodule(S4613, [0, 11], d._mask))
+        lattice_path(GammaSemimodule(S4613, [0, 11], d._mask, None))
     bound = S4613.conductor + 2 * 13 + 11
     assert dual_generators(d) == brute_dual(S4613, [0, 11], bound)[1]
-    assert dual_generators(GammaSemimodule(S4613, [0, 11], d._mask)) == dual_generators(d)
+    assert dual_generators(GammaSemimodule(S4613, [0, 11], d._mask, None)) == dual_generators(d)
 
 
 def _reference_min_generators(S, generators):
@@ -383,7 +412,7 @@ def _fixed_point_by_module(d):
 
 
 def _selfdual_by_module(d):
-    return make_semimodule(d.base, _dual_generators_scan(d)).min_generators == d.min_generators
+    return make_semimodule(d.base, _bits(_dual_mask(d))).min_generators == d.min_generators
 
 
 def _check_predicates(modules):

@@ -11,6 +11,8 @@ from gapsym import (
     zero_wilf_equivalences,
     zero_wilf_survey_general,
 )
+from gapsym.oracle import enumerate_semigroups_by_genus
+from gapsym.semimodule import _gap_rows
 from gapsym.survey import coprime_pairs
 from gapsym.wilf import _wilf_number
 
@@ -32,6 +34,20 @@ def test_wilf_gap():
     assert wilf_gap(make_semigroup([7, 8]), 5) == 4
     with pytest.raises(NotAGap):
         wilf_gap(make_semigroup([7, 8]), 14)
+
+
+def test_double_in_semigroup_forces_nonpositive_wilf_on_any_base():
+    # the proof is in wilf_gap; every gap up to genus 14
+    doubles = 0
+    for S in enumerate_semigroups_by_genus(14):
+        for g, _, w, _ in _gap_rows(S, S.gaps):
+            if S.contains(2 * g):
+                assert w <= 0, (S.generators, g)
+                doubles += 1
+    assert doubles == 28400
+    # the converse fails: W([0, 1]) = 0 over <4, 5, 6, 7>, but 2 is a gap
+    S = make_semigroup([4, 5, 6, 7])
+    assert wilf_gap(S, 1) == 0 and not S.contains(2)
 
 
 def test_wilf_gap_formula_anchors():
