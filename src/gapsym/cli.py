@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
@@ -41,8 +41,8 @@ from .symmetry import (
     reconstruct_from_symmetric,
     triangle_r,
     triangle_u,
+    wilf_grid,
 )
-from .wilf import _wilf_rows
 
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
 
@@ -84,15 +84,31 @@ def _json_text(obj, indent=""):
     may be deleted once the C encoder handles `indent`.  It writes dict,
     list, tuple (as an array), int, str, bool and None, and raises TypeError
     on any other type and on a non-str dict key, which `_json_str` rejects.
-    Strings are escaped by `_json_str`, as with `ensure_ascii`.  Int and str
-    leaves are written in the comprehensions, without a recursive call; for
-    an exact int, `f"{v}"` and `%d` are `int.__repr__(v)`.  A flat list of
-    exact ints, such as `analyze`'s gaps, is written by one `%d` template,
-    and a list of flat int rows, such as `analyze`'s cell pairs, by one `%`
-    template (`_int_rows_text`), without a call per row.  A `_Lattice`
-    writes itself as the array of its pair's lattice records.
+    Strings are escaped by `_json_str`, as with `ensure_ascii`.  Scalars are
+    written only at the tail; dict values and list items reach it by
+    recursion.  Every list or tuple first tries `_int_rows_text`, which
+    writes a flat list of exact ints, such as `analyze`'s gaps, or a list of
+    flat int rows, such as `analyze`'s cell pairs, by one `%d` template,
+    with no call per item.  A `_Lattice` writes itself as the array of its
+    pair's lattice records.
     """
     kind = type(obj)
+    if kind is _Lattice:
+        return obj.text(indent)
+    inner = indent + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        parts = [_json_str(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        text = _int_rows_text(obj, indent)
+        if text is not None:
+            return text
+        parts = [_json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     if kind is str:
         return _json_str(obj)
     if kind is int:
@@ -101,50 +117,23 @@ def _json_text(obj, indent=""):
         return "null"
     if kind is bool:
         return "true" if obj else "false"
-    if kind is _Lattice:
-        return obj.text(indent)
-    inner = indent + "  "
-    if kind is dict:
-        if not obj:
-            return "{}"
-        parts = [
-            _json_str(k) + ": "
-            + (f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner))
-            for k, v in obj.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        first = type(obj[0])
-        if first is list or first is tuple:
-            text = _int_rows_text(obj, indent)
-            if text is not None:
-                return text
-        elif first is int and set(map(type, obj)) == {int}:
-            sep = ",\n" + inner
-            return ("[\n" + inner + sep.join(["%d"] * len(obj)) + "\n" + indent + "]") % tuple(obj)
-        parts = [
-            f"{v}" if type(v) is int else _json_str(v) if type(v) is str else _json_text(v, inner)
-            for v in obj
-        ]
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _rows_template(fields, brackets, count, indent):
     """The `%` template of an array of `count` rows nested at `indent`, laid
     out as `json.dumps(indent=2)` does: each row holds `fields`, one a line,
-    between the two `brackets`."""
+    between the two `brackets`.  With no brackets, each row is its one
+    field, as in a flat array."""
     inner = indent + "  "
     pad = "\n" + inner + "  "
-    row = brackets[0] + pad + ("," + pad).join(fields) + "\n" + inner + brackets[1]
+    row = brackets[0] + pad + ("," + pad).join(fields) + "\n" + inner + brackets[1] if brackets else fields[0]
     return "[\n" + inner + (",\n" + inner).join([row] * count) + "\n" + indent + "]"
 
 
-def _int_rows_text(rows, indent):
-    """`_json_text(rows, indent)` for a list or tuple of flat int rows, else
-    None.
+def _int_rows_text(items, indent):
+    """`_json_text(items, indent)` for a non-empty list or tuple of exact
+    ints or of flat int rows, else None.
 
     Flat int rows are all non-empty lists or tuples of the same length, and
     hold only exact ints; bool and float fail the type test and are left to
@@ -152,22 +141,24 @@ def _int_rows_text(rows, indent):
     one `%d` per value (`_rows_template`); `%d` of an exact int is
     `int.__repr__`.
     """
-    if not set(map(type, rows)) <= {list, tuple} or set(map(len, rows)) != {len(rows[0])}:
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return _rows_template(("%d",), "", len(items), indent) % tuple(items)
+    if not kinds <= {list, tuple} or set(map(len, items)) != {len(items[0])}:
         return None
-    values = tuple(chain.from_iterable(rows))
+    values = tuple(chain.from_iterable(items))
     # empty rows hold no value, so this also leaves them to _json_text
     if set(map(type, values)) != {int}:
         return None
-    return _rows_template(["%d"] * len(rows[0]), "[]", len(rows), indent) % values
+    return _rows_template(["%d"] * len(items[0]), "[]", len(items), indent) % values
 
 
 class _Lattice:
     """`analyze`'s `lattice` entry, which `_json_text` writes as one record
     {a, b, value, wilf} per gap cell of T, in walk order: one `%d` template
-    over the flat ints of each row's ranges from `_wilf_rows`.  `zip` reuses
-    its result tuple once `chain` has read it, so no record is built per
-    cell.  It is a plain class because a `NamedTuple` takes about 0.2 ms
-    to define at import."""
+    over the flat ints of `wilf_grid(T)`, so no dict is built per cell (a
+    tuple is).  It is a plain class because a `NamedTuple` takes about
+    0.2 ms to define at import."""
 
     __slots__ = ("T",)
 
@@ -175,11 +166,9 @@ class _Lattice:
         self.T = T
 
     def text(self, indent):
-        flat = []
-        for b, values, wilf in _wilf_rows(self.T):
-            flat += chain.from_iterable(zip(range(1, len(values) + 1), repeat(b), values, wilf))
+        flat = tuple(chain.from_iterable(wilf_grid(self.T)))
         fields = ('"a": %d', '"b": %d', '"value": %d', '"wilf": %d')
-        return _rows_template(fields, "{}", self.T.genus, indent) % tuple(flat)
+        return _rows_template(fields, "{}", self.T.genus, indent) % flat
 
 
 def _output(args, report, lines=None) -> str:

@@ -422,23 +422,29 @@ def _ssg_formula_off_by_one(T):
 
 
 @pytest.mark.parametrize(
-    "check, name, fake, message",
+    "check, owner, name, fake, message",
     [
-        ("partition", "gap_partition",
+        ("partition", survey, "gap_partition",
          lambda T: symmetry.gap_partition(T)._replace(t_u=frozenset()),
          r"block sizes miss the genus"),
-        ("partition", "rectangle_cells", lambda T: symmetry.rectangle_cells(T) - {(1, 1)},
-         r"gap \d+ rectangle mismatch"),
-        ("reconstruct", "reconstruct_from_symmetric", lambda *args: [], r"reconstruction differs"),
-        ("uff", "compare_counts",
+        # the partition check reads the rectangle only through gap_partition,
+        # which raises when the reflected blocks miss a rectangle cell
+        ("partition", symmetry, "rectangle_cells",
+         lambda T, rect=symmetry.rectangle_cells: rect(T) - {(1, 1)},
+         r"reflected blocks do not tile the rectangle of TwoGen\(\d+, \d+\)"),
+        ("reconstruct", survey, "reconstruct_from_symmetric", lambda *args: [],
+         r"reconstruction differs"),
+        ("uff", survey, "compare_counts",
          lambda T: fundamental.compare_counts(T)._replace(inequality_holds=False),
          r"\|SG u SSG\|=\d+ > \|FG\|=\d+"),
-        ("cardinality", "card_formulas", _ssg_formula_off_by_one, r"SSG formula \d+ != \d+"),
+        ("cardinality", survey, "card_formulas", _ssg_formula_off_by_one,
+         r"SSG formula \d+ != \d+"),
     ],
     ids=["block_sizes", "rectangle", "reconstruction", "inequality", "ssg_formula"],
 )
-def test_survey_files_each_violation_message(monkeypatch, capsys, check, name, fake, message):
-    monkeypatch.setattr(survey, name, fake)
+def test_survey_files_each_violation_message(monkeypatch, capsys, check, owner, name, fake,
+                                             message):
+    monkeypatch.setattr(owner, name, fake)
     assert main(["survey", "--max-beta", "8", "--checks", check]) == 1
     out = capsys.readouterr().out
     assert re.search(rf"\n  VIOLATION \(\d+,\d+\) {message}\n", out), out

@@ -339,6 +339,27 @@ def test_candidate_pairs_are_few():
     assert infer_semigroup({top}, 4 * top) is None
 
 
+def test_infer_count_filter_drops_candidates_before_any_cell_is_mapped(monkeypatch):
+    # the count filter changes only cost, so a work count pins it: no
+    # candidate for {100000} holds exactly one symmetric cell, so none maps
+    # the value or builds a triangle; without the filter 23 candidates do both
+    from gapsym import symmetry
+
+    calls = {"cell_of": 0, "supersymmetric_gaps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TwoGen, "cell_of", counted("cell_of", TwoGen.cell_of))
+    monkeypatch.setattr(symmetry, "supersymmetric_gaps",
+                        counted("supersymmetric_gaps", symmetry.supersymmetric_gaps))
+    assert infer_semigroup({100000}, 400000) is None
+    assert calls == {"cell_of": 0, "supersymmetric_gaps": 0}
+
+
 def test_symmetric_count_matches_cells():
     from gapsym.symmetry import _symmetric_count
 
