@@ -30,18 +30,18 @@ from .semimodule import (
 )
 from .survey import CHECK_NAMES, run_survey
 from .symmetry import (
-    _rows_ssg,
-    _sg_rows,
+    GapPartition,
+    _grid_cells,
+    _partition_rows,
+    _smaller_side,
     _symmetric_count,
     _walk_cells,
     cell_values,
     gap_conductor_partition,
-    gap_partition,
     infer_semigroup,
     reconstruct_from_symmetric,
     triangle_r,
     triangle_u,
-    wilf_grid,
 )
 
 USAGE_ERROR, DATA_ERROR, AMBIGUOUS_ERROR = 2, 3, 4
@@ -156,8 +156,8 @@ def _int_rows_text(items, indent):
 class _Lattice:
     """`analyze`'s `lattice` entry, which `_json_text` writes as one record
     {a, b, value, wilf} per gap cell of T, in walk order: one `%d` template
-    over the flat ints of `wilf_grid(T)`, so no dict is built per cell (a
-    tuple is).  It is a plain class because a `NamedTuple` takes about
+    over the flat ints of `_grid_cells(T)`, so no dict or tuple is built per
+    cell.  It is a plain class because a `NamedTuple` takes about
     0.2 ms to define at import."""
 
     __slots__ = ("T",)
@@ -166,7 +166,7 @@ class _Lattice:
         self.T = T
 
     def text(self, indent):
-        flat = tuple(chain.from_iterable(wilf_grid(self.T)))
+        flat = tuple(chain.from_iterable(_grid_cells(self.T)))
         fields = ('"a": %d', '"b": %d', '"value": %d', '"wilf": %d')
         return _rows_template(fields, "{}", self.T.genus, indent) % flat
 
@@ -188,10 +188,12 @@ def cmd_analyze(args):
         layers = args.layers.split(",") if args.layers else DEFAULT_LAYERS
         return render_svg(T, layers), 0
     S = T.semigroup()
-    part = gap_partition(T)
-    side, sg_rows = _sg_rows(T)
-    sg = list(_walk_cells(sg_rows))
-    ssg = list(_walk_cells(_rows_ssg(T)))
+    # the verified blocks as row intervals; no block is built as a cell set
+    blocks = _partition_rows(T)
+    sizes = tuple(sum(last - first + 1 for _, first, last in rows) for rows in blocks)
+    side = _smaller_side(sizes[0], sizes[3])
+    sg = list(_walk_cells(blocks[0] if side == "T_u" else blocks[3]))
+    ssg = list(_walk_cells(blocks[2]))
     fg = fundamental_gaps(S)
     n_sym, n_fg = len(sg) + len(ssg), len(fg)
     report = {
@@ -203,7 +205,7 @@ def cmd_analyze(args):
         "lattice": _Lattice(T),
         "sg": {"side": side, "cells": sg, "values": cell_values(T, sg)},
         "ssg": {"cells": ssg, "values": cell_values(T, ssg)},
-        "partition": dict(zip(part._fields, part.block_sizes())),
+        "partition": dict(zip(GapPartition._fields, sizes)),
         "fg": list(fg),
         "counts": {"sg_ssg": n_sym, "fg": n_fg},
     }
@@ -212,7 +214,7 @@ def cmd_analyze(args):
         f"gaps: {list(S.gaps)}",
         f"symmetric side {side}: {report['sg']['values']}",
         f"self-symmetric: {report['ssg']['values']}",
-        f"partition blocks: {part.block_sizes()}",
+        f"partition blocks: {sizes}",
         f"fundamental gaps ({n_fg}): {list(fg)}",
         f"|SG u SSG| = {n_sym} {'<=' if n_sym <= n_fg else '>'} |FG| = {n_fg}",
     ]), 0

@@ -60,8 +60,9 @@ def _gap_scans(T: TwoGen) -> dict:
 
 
 def _check_partition(T, blocks, scans):
-    # `gap_partition` checks that the reflected blocks tile the rectangle,
-    # and `_check_red` that each gap g lies in it exactly when 2g is in S
+    # `gap_partition` checks, on row intervals, that the blocks partition
+    # the gap lattice and that the reflected blocks tile the rectangle, and
+    # `_check_red` that each gap g lies in it exactly when 2g is in S
     if sum(blocks().block_sizes()) != T.genus:
         yield "violations", "block sizes miss the genus"
 

@@ -6,8 +6,9 @@ Cell sets are plain frozensets of (a, b) pairs; no connectivity is assumed
 or checked anywhere.  Each named block is a union of row segments: its
 `_rows_*` helper yields one non-empty interval (b, first, last) per row, b
 descending as in `TwoGen.walk`, and its cell set and the writers read them.
-Only the checks in `gap_partition` and `reconstruct_from_symmetric` build
-the whole gap lattice.
+`gap_partition` checks the five-block split on these intervals
+(`_partition_rows`); only `reconstruct_from_symmetric`, whose input is
+untrusted, builds the whole gap lattice as cells.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _rows_fg(T: TwoGen):
     floor(beta/2) when 3b <= alpha and up to floor(beta/3) otherwise."""
     half, third = T.beta // 2, T.beta // 3
     return ((b, 1, half if 3 * b <= T.alpha else third) for b in range(T.alpha // 2, 0, -1))
+
+
+def _rows_rect(T: TwoGen):
+    """The rectangle a <= floor(beta/2), b <= floor(alpha/2)."""
+    half = T.beta // 2
+    return ((b, 1, half) for b in range(T.alpha // 2, 0, -1))
 
 
 def _walk_cells(rows):
@@ -152,24 +159,60 @@ def rectangle_cells(T: TwoGen) -> frozenset:
     Every such cell is a gap cell: a*alpha + b*beta <= alpha*beta, with
     equality only if alpha and beta are both even, which coprimality forbids.
     """
-    return frozenset(
-        (a, b) for a in range(1, T.beta // 2 + 1) for b in range(1, T.alpha // 2 + 1)
-    )
+    return frozenset(_walk_cells(_rows_rect(T)))
+
+
+def _joined_rows(rows):
+    """Row intervals sorted by (b, first), each joined to the one before when
+    it starts one past that one's end in the same row; None when an interval
+    is empty.  Two intervals that share a cell are never joined."""
+    out = []
+    for row in sorted(rows):
+        b, first, last = row
+        if last < first:
+            return None
+        if out and out[-1][0] == b and out[-1][2] + 1 == first:
+            out[-1] = (b, out[-1][1], last)
+        else:
+            out.append(row)
+    return out
+
+
+def _partition_rows(T: TwoGen):
+    """The row intervals of the five `GapPartition` blocks, in its field
+    order, after checking that they split the gap lattice (`gap_partition`)."""
+    alpha, beta = T.alpha, T.beta
+    t_u, ssg, t_r = [*_rows_u(T)], [*_rows_ssg(T)], [*_rows_r(T)]
+    s_alpha_t_u = [(alpha - b, first, last) for b, first, last in t_u]
+    s_beta_t_r = [(b, beta - last, beta - first) for b, first, last in t_r]
+    lattice = [*_full_rows(T, range(1, alpha))]
+    if _joined_rows(t_u + s_alpha_t_u + ssg + t_r + s_beta_t_r) != lattice:
+        raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
+    if _joined_rows(s_alpha_t_u + ssg + s_beta_t_r) != sorted(_rows_rect(T)):
+        raise PartitionViolation(f"reflected blocks do not tile the rectangle of {T!r}")
+    return t_u, s_alpha_t_u, ssg, t_r, s_beta_t_r
 
 
 def gap_partition(T: TwoGen) -> GapPartition:
-    """Split the gap lattice into the five blocks and verify the split."""
-    tu = triangle_u(T)
-    tr = triangle_r(T)
-    ssg = self_symmetric_gaps(T)
-    part = GapPartition(tu, reflect_alpha(T, tu), ssg, tr, reflect_beta(T, tr))
-    lg = frozenset(_walk_cells(_full_rows(T, range(1, T.alpha))))
-    if frozenset().union(*part) != lg or sum(map(len, part)) != len(lg):
-        raise PartitionViolation(f"blocks do not partition the gap lattice of {T!r}")
-    rect = rectangle_cells(T)
-    if part.s_alpha_t_u | part.ssg | part.s_beta_t_r != rect:
-        raise PartitionViolation(f"reflected blocks do not tile the rectangle of {T!r}")
-    return part
+    """Split the gap lattice into the five blocks and verify the split.
+
+    The check runs on row intervals (`_partition_rows`), not cells.  Each
+    block is the cells of its intervals (`_walk_cells`), and both
+    reflections map an interval of a row to one interval: (a, b) -> (a,
+    alpha - b) moves it to the row alpha - b, and (a, b) -> (beta - a, b)
+    maps [first, last] to [beta - last, beta - first].  Non-empty intervals
+    of one row are disjoint with one interval as their union exactly when,
+    sorted, each starts one past the end of the one before, that is, when
+    `_joined_rows` joins them all into one.  So the blocks, joined, equal
+    the full rows (1, row_length(b)), one per row, exactly when they are
+    disjoint and their union is the gap lattice, and the three reflected
+    blocks equal the rectangle's rows (`_rows_rect`) exactly when their
+    union is the rectangle; these are the two cell-set checks, at
+    O(alpha log alpha) instead of O(genus) cost.  An empty interval fails
+    the check too, so a block's interval lengths sum to its cell count, and
+    `analyze` reads the block sizes from them.
+    """
+    return GapPartition(*(frozenset(_walk_cells(rows)) for rows in _partition_rows(T)))
 
 
 def cell_values(T: TwoGen, cells):
@@ -487,8 +530,14 @@ def gap_conductor_partition(S: NumericalSemigroup):
     return out
 
 
+def _grid_cells(T: TwoGen):
+    """The rows of `wilf_grid`, lazily: a flattening reader gets `zip`'s one
+    reused tuple, not a tuple per cell."""
+    return chain.from_iterable(
+        zip(count(1), repeat(b), values, wilf) for b, values, wilf in _wilf_rows(T)
+    )
+
+
 def wilf_grid(T: TwoGen):
     """All cells with gap value and Wilf number, row-major (b desc, a asc)."""
-    return tuple(chain.from_iterable(
-        zip(count(1), repeat(b), values, wilf) for b, values, wilf in _wilf_rows(T)
-    ))
+    return tuple(_grid_cells(T))

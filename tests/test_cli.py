@@ -371,8 +371,15 @@ def test_library_rejects_unknown_check_and_layer_names(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _drop_first_cell(triangle):
-    return lambda T: triangle(T) - set(sorted(triangle(T))[:1])
+def _drop_first_cell(rows_of):
+    """A row-interval helper whose first interval, if any, starts one cell later."""
+    def fake(T):
+        rows = list(rows_of(T))
+        if rows:
+            b, first, last = rows[0]
+            rows[0] = (b, first + 1, last)
+        return rows
+    return fake
 
 
 # positions of the flags in a scan-table row (g, conductor, wilf, flags...)
@@ -390,8 +397,8 @@ def _scans_with(i, flag):
 @pytest.mark.parametrize(
     "check, owner, name, fake",
     [
-        ("partition", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
-        ("reconstruct", symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u)),
+        ("partition", symmetry, "_rows_u", _drop_first_cell(symmetry._rows_u)),
+        ("reconstruct", symmetry, "_rows_u", _drop_first_cell(symmetry._rows_u)),
         # each scanned flag flipped in every row of the table
         pytest.param("equifix", survey, "_gap_scans", _scans_with(FIXED_POINT, operator.not_),
                      id="equifix-gapsym.survey-_gap_scans-fixed_point"),
@@ -428,9 +435,10 @@ def _ssg_formula_off_by_one(T):
          lambda T: symmetry.gap_partition(T)._replace(t_u=frozenset()),
          r"block sizes miss the genus"),
         # the partition check reads the rectangle only through gap_partition,
-        # which raises when the reflected blocks miss a rectangle cell
-        ("partition", symmetry, "rectangle_cells",
-         lambda T, rect=symmetry.rectangle_cells: rect(T) - {(1, 1)},
+        # which raises when the reflected blocks miss a rectangle cell; the
+        # fake rectangle lacks (1, 1)
+        ("partition", symmetry, "_rows_rect",
+         lambda T, rect=symmetry._rows_rect: [(b, first + (b == 1), last) for b, first, last in rect(T)],
          r"reflected blocks do not tile the rectangle of TwoGen\(\d+, \d+\)"),
         ("reconstruct", survey, "reconstruct_from_symmetric", lambda *args: [],
          r"reconstruction differs"),
@@ -466,7 +474,7 @@ def test_survey_lets_other_errors_propagate(monkeypatch):
     def broken(T):
         raise RuntimeError("broken")
 
-    monkeypatch.setattr(symmetry, "triangle_u", broken)
+    monkeypatch.setattr(symmetry, "_rows_u", broken)
     with pytest.raises(RuntimeError):
         run_survey(8, ["partition"])
 
@@ -738,8 +746,8 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_survey_builds_each_pairs_triangles_once(monkeypatch):
-    tu = _count_calls(monkeypatch, symmetry, "triangle_u")
-    tr = _count_calls(monkeypatch, symmetry, "triangle_r")
+    tu = _count_calls(monkeypatch, symmetry, "_rows_u")
+    tr = _count_calls(monkeypatch, symmetry, "_rows_r")
     run_survey(8)
     assert (len(tu), len(tr)) == (14, 14)
     tu.clear()
@@ -756,6 +764,17 @@ def test_analyze_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
     assert len(calls) == 1
 
 
+def test_analyze_checks_the_partition_once_on_row_intervals(monkeypatch, capsys):
+    # analyze reads the block sizes and cells from the verified intervals;
+    # no block is built as a cell set and no size is summed twice
+    counts = {name: _count_calls(monkeypatch, symmetry, name)
+              for name in ("_partition_rows", "gap_partition", "_block_counts")}
+    assert main(["analyze", "--alpha", "60", "--beta", "67", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "_partition_rows": 1, "gap_partition": 0, "_block_counts": 0}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_fundamental_computes_fundamental_gaps_once(monkeypatch, capsys, fmt):
     calls = _count_calls(monkeypatch, fundamental, "fundamental_gaps")
@@ -769,7 +788,7 @@ def test_survey_rebuilds_a_failing_partition_for_each_reader(monkeypatch):
     # fails keeps no error, so each of the three checks that read it builds
     # it again and files the same violation: 14 pairs plus 11 broken pairs
     # times 2 more readers
-    monkeypatch.setattr(symmetry, "triangle_u", _drop_first_cell(symmetry.triangle_u))
+    monkeypatch.setattr(symmetry, "_rows_u", _drop_first_cell(symmetry._rows_u))
     calls = _count_calls(monkeypatch, symmetry, "gap_partition")
     results = run_survey(8)
     assert len(calls) == 36

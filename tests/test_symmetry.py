@@ -4,6 +4,7 @@ from gapsym import (
     Ambiguous,
     InconsistentInput,
     OutOfTriangle,
+    PartitionViolation,
     TwoGen,
     border_transport,
     card_formulas,
@@ -24,10 +25,13 @@ from gapsym import (
     triangle_r,
     triangle_u,
 )
+from gapsym import symmetry
 from gapsym.fundamental import fundamental_gaps
 from gapsym.survey import coprime_pairs
 from gapsym.symmetry import (
     _block_counts,
+    _full_rows,
+    _partition_rows,
     _rows_fg,
     _rows_r,
     _rows_ssg,
@@ -122,6 +126,78 @@ def test_gap_partition():
     part = gap_partition(TwoGen(8, 13))
     assert part.block_sizes() == (8, 8, 6, 10, 10)
     assert sum(part.block_sizes()) == 42
+
+
+def test_gap_partition_matches_the_cell_set_construction():
+    # the interval check (`_partition_rows`) against the cell-set check it
+    # replaced: each block built and reflected as cells, the union compared
+    # with the whole gap lattice and the reflected union with the rectangle
+    for alpha, beta in coprime_pairs(60):
+        T = TwoGen(alpha, beta)
+        tu, tr = triangle_u(T), triangle_r(T)
+        want = (tu, reflect_alpha(T, tu), self_symmetric_gaps(T), tr, reflect_beta(T, tr))
+        part = gap_partition(T)
+        assert part == want, (alpha, beta)
+        lattice = frozenset((a, b) for a, b, _ in T.walk())
+        assert frozenset().union(*part) == lattice, (alpha, beta)
+        sizes = tuple(sum(last - first + 1 for _, first, last in rows) for rows in _partition_rows(T))
+        assert part.block_sizes() == sizes and sum(sizes) == T.genus, (alpha, beta)
+        assert part.s_alpha_t_u | part.ssg | part.s_beta_t_r == rectangle_cells(T), (alpha, beta)
+
+
+def _rows_r_one_column_late(T):
+    first = T.beta // 2 + 2
+    return ((b, first, T.row_length(b)) for b in range(T.column_height(first), 0, -1))
+
+
+def _rows_u_one_row_short(T):
+    return _full_rows(T, range(T.alpha - 1, T.alpha // 2 + 1, -1))
+
+
+def _rows_ssg_one_cell_long(T, rows_of=_rows_ssg):
+    return ((b, first, last + 1) for b, first, last in rows_of(T))
+
+
+def _rows_ssg_one_cell_long_then_inverted(T, rows_of=_rows_ssg):
+    # each row one cell past the lattice, then an interval of length -1:
+    # joined, the row ends where the lattice does, and the lengths still
+    # sum to the lattice's count, so only the empty interval gives it away
+    for b, first, last in rows_of(T):
+        yield b, first, last + 1
+        yield b, last + 2, last
+
+
+def _rows_rect_one_column_short(T):
+    return ((b, 1, T.beta // 2 - 1) for b in range(T.alpha // 2, 0, -1))
+
+
+LATTICE = r"blocks do not partition the gap lattice of TwoGen\(\d+, \d+\)"
+RECTANGLE = r"reflected blocks do not tile the rectangle of TwoGen\(\d+, \d+\)"
+
+
+@pytest.mark.parametrize("name, mutant, message", [
+    ("_rows_r", _rows_r_one_column_late, LATTICE),
+    ("_rows_u", _rows_u_one_row_short, LATTICE),
+    ("_rows_ssg", _rows_ssg_one_cell_long, LATTICE),
+    ("_rows_ssg", _rows_ssg_one_cell_long_then_inverted, LATTICE),
+    ("_rows_rect", _rows_rect_one_column_short, RECTANGLE),
+], ids=["rows_r_late", "rows_u_short", "rows_ssg_long", "rows_ssg_long_then_inverted",
+        "rows_rect_short"])
+def test_partition_check_catches_each_row_mutant(monkeypatch, name, mutant, message):
+    # every pair the mutant changes raises, with the message of the check
+    # it breaks; the pairs it leaves unchanged are skipped
+    original = getattr(symmetry, name)
+    changed = 0
+    for alpha, beta in coprime_pairs(30):
+        T = TwoGen(alpha, beta)
+        if list(mutant(T)) == list(original(T)):
+            continue
+        changed += 1
+        monkeypatch.setattr(symmetry, name, mutant)
+        with pytest.raises(PartitionViolation, match=f"^{message}$"):
+            gap_partition(T)
+        monkeypatch.setattr(symmetry, name, original)
+    assert changed >= 100
 
 
 def test_rectangle_identity():
