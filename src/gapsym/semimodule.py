@@ -140,21 +140,36 @@ def _gap_flags(S: NumericalSemigroup, rows):
     no minimal generator lies past it: the syzygy module holds every x from
     c(S) + g up and the dual every x from c(S) up, so past its window x - m
     is in it too.  The generator mask that `_is_translate` compares with is
-    1 | 1 << g, and `_is_symmetric_mask` reads the row's gap mask.  Fixed
-    point and selfdual stay two scans, each a check on the other, though
-    `is_fixed_point` proves they agree for ed 2.
+    1 | 1 << g.  Fixed point and selfdual stay two scans, each a check on
+    the other, though `is_fixed_point` proves they agree for ed 2.
+
+    `_is_symmetric_mask` needs the row's gap mask M reversed in its c bits,
+    and each reversal is cut from one reversal R of S's gap mask G, in N =
+    c(S) bits: bit i of R is bit N - 1 - i of G, and R < 2^N.  Bit i of M's
+    reversal is bit c - 1 - i of M = G & X, X = (G << g) | (2^g - 1), so it
+    is the AND of the reversals of G and X below c.  Bit c - 1 - i of G is
+    bit N - c + i of R, so G below c reversed is R >> (N - c), which is
+    below 2^c.  If c <= g, X is 1 on every bit below c, as 2^g - 1 is, so
+    the reversal is R >> (N - c).  If c > g, bit c - 1 - i of X is 1 for i
+    >= c - g, which (2^g - 1) << (c - g) sets, and otherwise bit c - 1 - i -
+    g of G, bit N - c + g + i of R, which R >> (N - c + g) holds at i; that
+    shift is below 2^(c - g), so the OR is below 2^c.
     """
     gens = S.generators
     table = S._table
-    width = S.conductor + gens[0]
+    n = S.conductor
+    width = n + gens[0]
+    r = _reversed(~table)
     for g, c, w, mask in rows:
         member = table & ((1 << (width + g)) - 1)
-        genmask = 1 | 1 << g
+        rev = r >> (n - c)
+        if c > g:
+            rev &= (r >> (n - c + g)) | (((1 << g) - 1) << (c - g))
         yield (
             g, c, w,
-            _is_translate(_minimal(member & member << g, gens), genmask),
-            _is_translate(_minimal(member & member >> g, gens), genmask),
-            _is_symmetric_mask(mask, c),
+            _is_translate(_minimal(member & member << g, gens), 1 | 1 << g),
+            _is_translate(_minimal(member & member >> g, gens), 1 | 1 << g),
+            _is_symmetric_mask(mask, rev, c),
             not mask >> 2 * g & 1,
         )
 
@@ -318,16 +333,21 @@ def _generator_mask(delta: GammaSemimodule) -> int:
     return sum([1 << g for g in delta.min_generators])
 
 
-def _is_symmetric_mask(gaps: int, c: int) -> bool:
-    """Whether x below c is a gap exactly when c - 1 - x is not, for a gap
-    mask of bit length c.
+def _reversed(mask: int) -> int:
+    """A nonnegative mask with its bit_length() bits in reverse order; the
+    slice drops "0b" and reverses the digits, and 0 gives 0."""
+    return int(bin(mask)[:1:-1], 2)
 
-    The slice drops "0b" and reverses the c bits.  The mask is symmetric
-    exactly when the reversed mask is gaps ^ (2^c - 1); as both lie in
-    [0, 2^c), that is their sum being 2^c - 1, because a + b = 2^c - 1
+
+def _is_symmetric_mask(gaps: int, rev: int, c: int) -> bool:
+    """Whether x below c is a gap exactly when c - 1 - x is not, for a gap
+    mask of bit length c and rev, its c bits reversed.
+
+    The mask is symmetric exactly when rev is gaps ^ (2^c - 1); as both lie
+    in [0, 2^c), that is their sum being 2^c - 1, because a + b = 2^c - 1
     forces b = a ^ (2^c - 1).  c = 0 gives 0 + 0 == 0.
     """
-    return gaps + int(bin(gaps)[:1:-1], 2) == (1 << c) - 1
+    return gaps + rev == (1 << c) - 1
 
 
 def is_fixed_point(delta: GammaSemimodule) -> bool:
@@ -385,7 +405,7 @@ def is_symmetric_sm(delta: GammaSemimodule) -> bool:
 
     The gap mask has exactly conductor bits, so `_is_symmetric_mask` applies.
     """
-    return _is_symmetric_mask(~delta._mask, delta.conductor)
+    return _is_symmetric_mask(~delta._mask, _reversed(~delta._mask), delta.conductor)
 
 
 class PicardOrbit(NamedTuple):

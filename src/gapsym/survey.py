@@ -3,21 +3,21 @@
 Each check replays one structural fact on one pair and yields unlabeled
 `(kind, message)` findings, kind "violations" or "warnings"; `run_survey`
 labels each with its pair and files it.  A check reads the pair's derived
-objects through two `functools.cache` callables, each built on its first
-call and kept for the pair: `blocks()` gives the verified partition, and
-`scans()` gives the scan table of `_gap_scans`, which maps the cell of
-every gap g to the conductor, the Wilf number and the scanned predicates of
-the module [0, g], read in one walk of the gap cells from the rows of
-`semimodule._gap_rows` and `semimodule._gap_flags`, with no module built.
-The survey is the one reader of this cell-keyed table.  A failed build is not kept, so each check that reads it
-builds it again and gets the same error.  A pair whose checks never call one
-builds nothing for it.  The known printed-sum undercount for the upper
-triangle at odd alpha is downgraded to a warning.
+objects through two callables, each built on its first successful call and
+kept for the pair: `blocks()` gives the row intervals of the five blocks
+that `symmetry._partition_rows` verified, and `scans()` gives the scan
+table of `_gap_scans`, which maps the cell of every gap g to the conductor,
+the Wilf number and the scanned predicates of the module [0, g], read in
+one walk of the gap cells from the rows of `semimodule._gap_rows` and
+`semimodule._gap_flags`, with no module built.  The survey is the one
+reader of this cell-keyed table.  A failed build is not kept, so each check
+that reads it builds it again and gets the same error.  A pair whose checks
+never call one builds nothing for it.  The known printed-sum undercount for
+the upper triangle at odd alpha is downgraded to a warning.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd
 from typing import NamedTuple
 
@@ -26,9 +26,10 @@ from .fundamental import RedChecks, _fundamental_count, compare_counts
 from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import _gap_flags, _gap_rows
 from .symmetry import (
+    _partition_rows,
     _smaller_side,
+    _walk_cells,
     card_formulas,
-    gap_partition,
     reconstruct_from_symmetric,
 )
 from .wilf import ZeroWilfChecks
@@ -59,19 +60,24 @@ def _gap_scans(T: TwoGen) -> dict:
     return {(a, b): row for (a, b, _), row in zip(walk, rows)}
 
 
+def _size(rows):
+    """The number of cells of row intervals."""
+    return sum([last - first + 1 for _, first, last in rows])
+
+
 def _check_partition(T, blocks, scans):
-    # `gap_partition` checks, on row intervals, that the blocks partition
+    # `_partition_rows` checks, on row intervals, that the blocks partition
     # the gap lattice and that the reflected blocks tile the rectangle, and
     # `_check_red` that each gap g lies in it exactly when 2g is in S
-    if sum(blocks().block_sizes()) != T.genus:
+    if sum(map(_size, blocks())) != T.genus:
         yield "violations", "block sizes miss the genus"
 
 
 def _check_reconstruct(T, blocks, scans):
-    part = blocks()
-    side = _smaller_side(len(part.t_u), len(part.t_r))
-    sg = part.t_u if side == "T_u" else part.t_r
-    got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, part.ssg)
+    t_u, _, ssg, t_r, _ = blocks()
+    side = _smaller_side(_size(t_u), _size(t_r))
+    sg = _walk_cells(t_u if side == "T_u" else t_r)
+    got = reconstruct_from_symmetric(T.alpha, T.beta, sg, side, _walk_cells(ssg))
     if got != list(T.semigroup().gaps):
         yield "violations", "reconstruction differs"
 
@@ -123,17 +129,18 @@ def _check_cardinality(T, blocks, scans):
 
 def _check_conductor_sym(T, blocks, scans):
     c = T.semigroup().conductor
-    part = blocks()
+    t_u, _, _, t_r, _ = blocks()
+    row = scans().get
     # a cell off the gap lattice has no gap, so no row in the scan table: it
-    # reads None, which matches no expected conductor
-    cond = {cell: row[1] for cell, row in scans().items()}
-    for a, b in part.t_u:
+    # reads the default, whose None matches no expected conductor
+    none = (None, None)
+    for a, b in _walk_cells(t_u):
         expected = c - a * T.alpha
-        if cond.get((a, b)) != expected or cond.get((a, T.alpha - b)) != expected:
+        if row((a, b), none)[1] != expected or row((a, T.alpha - b), none)[1] != expected:
             yield "violations", f"column {a} conductor mismatch"
-    for a, b in part.t_r:
+    for a, b in _walk_cells(t_r):
         expected = c - b * T.beta
-        if cond.get((a, b)) != expected or cond.get((T.beta - a, b)) != expected:
+        if row((a, b), none)[1] != expected or row((T.beta - a, b), none)[1] != expected:
             yield "violations", f"row {b} conductor mismatch"
 
 
@@ -148,6 +155,13 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+
+
+def _kept(build, T):
+    """A callable that returns build(T), built on its first successful call
+    and kept; a build that raises keeps nothing."""
+    kept = {}
+    return lambda: kept[0] if kept else kept.setdefault(0, build(T))
 
 
 def run_survey(max_beta: int, checks=("all",)):
@@ -167,10 +181,8 @@ def run_survey(max_beta: int, checks=("all",)):
     for alpha, beta in coprime_pairs(max_beta):
         pairs += 1
         T = NumericalSemigroup([alpha, beta]).two_gen()
-        # both callables are read only in this iteration, so the lambdas
-        # see this pair's T
-        blocks = cache(lambda: gap_partition(T))
-        scans = cache(lambda: _gap_scans(T))
+        blocks = _kept(_partition_rows, T)
+        scans = _kept(_gap_scans, T)
         label = f"({alpha},{beta}) "
         for name in names:
             filed = found[name]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gapsym import InconsistentInput, TwoGen, fundamental, survey, symmetry
+from gapsym import InconsistentInput, TwoGen, fundamental, semimodule, survey, symmetry
 from gapsym.cli import _json_text, main
 from gapsym.render import LAYERS, render_svg
 from gapsym.survey import CHECK_NAMES, coprime_pairs, run_survey
@@ -431,10 +431,10 @@ def _ssg_formula_off_by_one(T):
 @pytest.mark.parametrize(
     "check, owner, name, fake, message",
     [
-        ("partition", survey, "gap_partition",
-         lambda T: symmetry.gap_partition(T)._replace(t_u=frozenset()),
+        ("partition", survey, "_partition_rows",
+         lambda T: ([], *symmetry._partition_rows(T)[1:]),
          r"block sizes miss the genus"),
-        # the partition check reads the rectangle only through gap_partition,
+        # the partition check reads the rectangle only through _partition_rows,
         # which raises when the reflected blocks miss a rectangle cell; the
         # fake rectangle lacks (1, 1)
         ("partition", symmetry, "_rows_rect",
@@ -746,14 +746,25 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_survey_builds_each_pairs_triangles_once(monkeypatch):
-    tu = _count_calls(monkeypatch, symmetry, "_rows_u")
-    tr = _count_calls(monkeypatch, symmetry, "_rows_r")
+    # the checks read the verified row intervals; no block is built as a
+    # cell set
+    counts = [_count_calls(monkeypatch, symmetry, name)
+              for name in ("_rows_u", "_rows_r", "_partition_rows", "gap_partition")]
     run_survey(8)
-    assert (len(tu), len(tr)) == (14, 14)
-    tu.clear()
-    tr.clear()
+    assert [len(calls) for calls in counts] == [14, 14, 14, 0]
+    for calls in counts:
+        calls.clear()
     run_survey(8, ["uff"])
-    assert (len(tu), len(tr)) == (0, 0)
+    assert [len(calls) for calls in counts] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("checks, reversals", [(["equifix"], 14), (["uff"], 0)])
+def test_survey_reverses_one_gap_mask_per_pair(monkeypatch, checks, reversals):
+    # the scan table cuts every [0, g] symmetry test from one reversal of
+    # the pair's gap mask
+    calls = _count_calls(monkeypatch, semimodule, "_reversed")
+    run_survey(8, checks)
+    assert len(calls) == reversals
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -789,7 +800,7 @@ def test_survey_rebuilds_a_failing_partition_for_each_reader(monkeypatch):
     # it again and files the same violation: 14 pairs plus 11 broken pairs
     # times 2 more readers
     monkeypatch.setattr(symmetry, "_rows_u", _drop_first_cell(symmetry._rows_u))
-    calls = _count_calls(monkeypatch, symmetry, "gap_partition")
+    calls = _count_calls(monkeypatch, symmetry, "_partition_rows")
     results = run_survey(8)
     assert len(calls) == 36
     broken = [(3, 4), (3, 5), (4, 5), (5, 6), (3, 7), (4, 7), (5, 7), (6, 7), (3, 8), (5, 8), (7, 8)]
@@ -812,15 +823,15 @@ def test_conductor_sym_files_off_lattice_cells_as_mismatches(monkeypatch):
     # a partition of <3,5> whose T_u holds (3, 1), mirrored to (3, 2) off the
     # lattice, and whose T_r holds (1, 3), itself off the lattice: both are
     # the usual mismatch violations, and the scan table holds no row for them
-    real = symmetry.gap_partition
+    real = symmetry._partition_rows
 
     def skewed(T):
-        part = real(T)
+        t_u, s_alpha_t_u, ssg, t_r, s_beta_t_r = real(T)
         if (T.alpha, T.beta) != (3, 5):
-            return part
-        return part._replace(t_u=part.t_u | {(3, 1)}, t_r=part.t_r | {(1, 3)})
+            return t_u, s_alpha_t_u, ssg, t_r, s_beta_t_r
+        return t_u + [(1, 3, 3)], s_alpha_t_u, ssg, t_r + [(3, 1, 1)], s_beta_t_r
 
-    monkeypatch.setattr(survey, "gap_partition", skewed)
+    monkeypatch.setattr(survey, "_partition_rows", skewed)
     (res,) = run_survey(7, ["conductor-sym"])
     assert res.violations == ["(3,5) column 3 conductor mismatch", "(3,5) row 3 conductor mismatch"]
     assert res.warnings == []

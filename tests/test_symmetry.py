@@ -118,6 +118,10 @@ def test_border_transport_law():
 def test_gap_partition():
     part = gap_partition(T78)
     assert part.block_sizes() == (6, 6, 3, 3, 3)
+    # the smaller triangle is a field of the partition, and with SSG it
+    # rebuilds every gap
+    assert supersymmetric_gaps(T78) == ("T_r", part.t_r)
+    assert reconstruct_from_symmetric(7, 8, part.t_r, "T_r", part.ssg) == list(T78.semigroup().gaps)
 
     part = gap_partition(TwoGen(2, 7))
     assert part.block_sizes() == (0, 0, 3, 0, 0)
@@ -125,6 +129,7 @@ def test_gap_partition():
 
     part = gap_partition(TwoGen(8, 13))
     assert part.block_sizes() == (8, 8, 6, 10, 10)
+    assert supersymmetric_gaps(TwoGen(8, 13)) == ("T_u", part.t_u)
     assert sum(part.block_sizes()) == 42
 
 
