@@ -79,6 +79,26 @@ BAD_INPUTS = [
     ({"sg_values": [1 << 18], "ssg_values": []}, ["--infer"]),
     ({"alpha": 512, "beta": 513, "sg_values": [], "ssg_values": []}, []),
 ]]
+COMMANDS = ("analyze", "semimodule", "reconstruct", "survey", "classes", "fundamental")
+# argv that only argparse handles: help, usage errors, `--` and `--opt=value`
+PARSER_ARGVS = [
+    [], ["bogus"], ["-h"], ["--help"], ["--format", "json", "analyze"],
+    *([command, "-h"] for command in COMMANDS),
+    ["analyze", "--alpha", "3", "--beta", "5", "extra"],
+    ["analyze", "--alpha", "3", "--beta", "5", "--bogus", "1", "more"],
+    ["fundamental", "--gens", "3,5", "--format", "text", "--gens"],
+    ["analyze", "--alpha", "3"],
+    ["semimodule", "--gens", "3,5"],
+    ["survey"],
+    ["analyze", "--alpha", "x", "--beta", "5"],
+    ["analyze", "--alpha", "3", "--beta", "5", "--format", "csv"],
+    ["analyze", "--", "--alpha", "3", "--beta", "5"],
+    ["analyze", "--alpha", "3", "--beta", "5", "--"],
+    ["fundamental", "--gens", "3,5", "--", "--format", "text"],
+    ["analyze", "--alpha=3", "--beta=5", "--format=text"],
+    ["survey", "--max-beta=6", "--checks=uff"],
+    ["analyze", "--alp", "3", "--be", "5", "--form", "text"],
+]
 
 
 def coprime_pairs(max_beta):
@@ -87,7 +107,7 @@ def coprime_pairs(max_beta):
 
 def run(argv, text=None):
     """(stdout, stderr, exit code) of one in-process `main(argv)` call; an
-    `{input}` in argv names a temporary file holding `text`."""
+    `{input}` in an argument names a temporary file holding `text`."""
     from gapsym.cli import main
 
     if text is None:
@@ -96,7 +116,7 @@ def run(argv, text=None):
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
-        out, err, code = _call(main, [path if a == INPUT else a for a in argv])
+        out, err, code = _call(main, [a.replace(INPUT, path) for a in argv])
     return out, err.replace(path, INPUT), code
 
 
@@ -150,6 +170,9 @@ def corpus():
                      for f in formats]
     for text, flags in BAD_INPUTS:
         runs.append((["reconstruct", "--input", INPUT, *flags], text))
+    runs += [(argv, None) for argv in PARSER_ARGVS]
+    runs.append((["reconstruct", f"--input={INPUT}", "--infer", "--format=text"],
+                 json.dumps({"sg_values": [13, 6, 5], "ssg_values": [4, 12, 20]})))
     return runs
 
 
