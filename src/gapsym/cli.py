@@ -15,7 +15,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import Ambiguous, GapsymError, InconsistentInput, NotAGap
-from .fundamental import divisor_closure, fundamental_gaps
+from .fundamental import fundamental_gaps
 from .render import DEFAULT_LAYERS, LAYERS, render_svg
 from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import (
@@ -389,6 +389,18 @@ def cmd_classes(args):
 
 
 def cmd_fundamental(args):
+    """The gaps, the fundamental gaps and their divisor closure, and for two
+    generators |SG u SSG| against |FG|.
+
+    The divisor closure D(FG) of the fundamental gaps is the gap set G, so
+    it is written as `S.gaps` with no division.  Every divisor d of a gap h
+    is a gap: were d in S, so would be its multiple h.  So D(FG) lies in G.
+    Conversely, let h be a gap and k the largest integer with kh a gap;
+    there is one, as every multiple of h past the conductor lies in S.
+    Then 2kh and 3kh lie in S, so kh is a fundamental gap, and h divides it.
+    `divisor_closure` stays the trial division, which `semigroup_from_fg`
+    applies to sets that need not be fundamental gaps.
+    """
     _check_width(args.gens)
     S = NumericalSemigroup(args.gens)
     fg = fundamental_gaps(S)
@@ -396,11 +408,11 @@ def cmd_fundamental(args):
         "gens": list(S.generators),
         "gaps": list(S.gaps),
         "fundamental_gaps": list(fg),
-        "divisor_closure": sorted(divisor_closure(fg)),
+        "divisor_closure": list(S.gaps),
         "counts": {"gaps": S.genus, "fg": len(fg)},
     }
     if len(S.generators) == 2:
-        n_sym = _symmetric_count(S.two_gen())
+        n_sym = _symmetric_count(*S.generators)
         report["counts"]["sg_ssg"] = n_sym
         report["counts"]["inequality_holds"] = n_sym <= len(fg)
     return _output(args, report), 0
@@ -461,12 +473,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built once per process: parse_args keeps no state between calls.
 _PARSER = build_parser()
+# each command's own parser, the object _PARSER hands the rest of argv to
+_COMMANDS = next(action.choices for action in _PARSER._actions if action.dest == "command")
+
+
+def _parse(argv):
+    """`_PARSER.parse_args(argv)`, with each argument parsed once.
+
+    When argv[0] names a command, _PARSER's one positional takes argv[0]
+    and everything after it, `--` included: it sets `command`, hands the
+    rest to that command's parser, and parse_args reports what that parser
+    leaves over as unrecognized.  Its only options, -h and --help, cannot
+    make a later argument ambiguous, so that pass cannot fail.  So the rest
+    goes straight to the command's parser here, with the same namespace,
+    help, errors and exit codes.  Any other argv, such as an empty one, an
+    unknown command or a leading option, goes to _PARSER.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        _PARSER.error("unrecognized arguments: " + " ".join(extra))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command and write its output to --out or stdout; no other
-    function writes."""
-    args = _PARSER.parse_args(argv)
+    function writes.  The command's own parser reads its arguments
+    (`_parse`), so argv is parsed once."""
+    args = _parse(argv)
     try:
         text, code = args.func(args)
     except Ambiguous as exc:

@@ -143,7 +143,7 @@ class CountComparison(NamedTuple):
 
 def compare_counts(T: TwoGen) -> CountComparison:
     n_fg = len(fundamental_gaps(T.semigroup()))
-    n_sym = _symmetric_count(T)
+    n_sym = _symmetric_count(T.alpha, T.beta)
     return CountComparison(
         sg_ssg=n_sym,
         fg=n_fg,

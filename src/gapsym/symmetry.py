@@ -83,7 +83,7 @@ def _smaller_side(t_u: int, t_r: int) -> str:
 
 def _sg_rows(T: TwoGen):
     """(side, row intervals) of the smaller triangle, sized by `_block_counts`."""
-    t_u, t_r, _ = _block_counts(T)
+    t_u, t_r, _ = _block_counts(T.alpha, T.beta)
     side = _smaller_side(t_u, t_r)
     return side, _rows_u(T) if side == "T_u" else _rows_r(T)
 
@@ -320,22 +320,28 @@ def _candidate_pairs(top: int, max_beta: int):
         alpha += 1
 
 
-def _block_counts(T: TwoGen):
-    """(|T_u|, |T_r|, |SSG|), summed over the row lengths without building a
-    cell; T_r holds the cells past beta//2 of the k rows that reach it
-    (`_rows_r`)."""
-    half_b, half_a = T.alpha // 2, T.beta // 2
-    rows = [T.row_length(b) for b in range(1, T.alpha)]
-    k = T.column_height(half_a + 1)
-    t_u = sum(rows[half_b:])
-    t_r = sum(rows[:k]) - k * half_a
-    ssg = rows[half_b - 1] if T.alpha % 2 == 0 else 0
-    if T.beta % 2 == 0:
-        ssg += T.column_height(half_a)
+def _block_counts(alpha: int, beta: int):
+    """(|T_u|, |T_r|, |SSG|) of the coprime pair <alpha, beta>, read off its
+    row lengths from the two integers alone: no TwoGen and no cell is built.
+
+    Row b holds floor(j*beta/alpha) gap cells, j = alpha - b (shown in
+    `card_formulas`), so the rows of T_u are those with j <= (alpha-1)//2.
+    T_r holds the cells past beta//2 of each row longer than that
+    (`_rows_r`).  SSG is the row alpha/2 when alpha is even, and the column
+    beta/2, one cell in each row that reaches it, when beta is even.
+    """
+    half = beta // 2
+    rows = [j * beta // alpha for j in range(1, alpha)]
+    t_u = sum(rows[: (alpha - 1) // 2])
+    t_r = sum(r - half for r in rows if r > half)
+    if alpha % 2 == 0:
+        ssg = rows[alpha // 2 - 1]
+    else:
+        ssg = sum(r >= half for r in rows) if beta % 2 == 0 else 0
     return t_u, t_r, ssg
 
 
-def _symmetric_count(T: TwoGen) -> int:
+def _symmetric_count(alpha: int, beta: int) -> int:
     """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
     `gap_partition` checks).
 
@@ -352,7 +358,7 @@ def _symmetric_count(T: TwoGen) -> int:
     inequality |SG u SSG| <= |FG| is an equality only at <4, 5>, where
     |T_u| = |T_r| = PQ = 1.
     """
-    t_u, t_r, ssg = _block_counts(T)
+    t_u, t_r, ssg = _block_counts(alpha, beta)
     return min(t_u, t_r) + ssg
 
 
@@ -389,11 +395,12 @@ def infer_semigroup(values, max_beta: int):
     is solved for beta (`_corner_betas`), so the candidates number at most
     six per alpha, O(sqrt V) in all.  A candidate is dropped unless its
     symmetric sets hold as many cells as there are target values, counted
-    from its row lengths (`_symmetric_count`) before any value is mapped to
-    a cell.  A candidate that passes maps the target values to their cells
-    once, and before any triangle is built it is dropped unless every
-    target value is a gap.  Gaps and cells correspond one to one, so a
-    candidate matches exactly when its symmetric cells are those cells.
+    from alpha and beta alone (`_symmetric_count`), so a dropped candidate
+    builds no TwoGen and maps no value.  A candidate that passes builds its
+    TwoGen, maps the target values to their cells once, and before any
+    triangle is built it is dropped unless every target value is a gap.
+    Gaps and cells correspond one to one, so a candidate matches exactly
+    when its symmetric cells are those cells.
     """
     target = set(values)
     top = max(target, default=0)
@@ -401,9 +408,9 @@ def infer_semigroup(values, max_beta: int):
         return None
     matches = []
     for alpha, beta in _candidate_pairs(top, max_beta):
-        T = TwoGen(alpha, beta)
-        if _symmetric_count(T) != len(target):
+        if _symmetric_count(alpha, beta) != len(target):
             continue
+        T = TwoGen(alpha, beta)
         cells = {T.cell_of(v) for v in target}
         if None in cells:
             continue
@@ -474,7 +481,7 @@ def card_formulas(T: TwoGen) -> CardinalityReport:
     t_u_corrected = sum(j * b // a for j in range(1, (a + 1) // 2))
     h = a // 2 + 1 if a % 2 == 0 else a // 2
     t_r_formula = sum(max(0, j * b // a - b // 2) for j in range(h, a))
-    t_u, t_r, ssg = _block_counts(T)
+    t_u, t_r, ssg = _block_counts(a, b)
     warnings = []
     if t_u_formula != t_u:
         warnings.append(f"upper-triangle sum {t_u_formula} != direct count {t_u} (odd alpha)")

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from gapsym import (
@@ -43,6 +46,17 @@ def test_divisor_closure():
     assert divisor_closure({4, 7}) == {1, 2, 4, 7}
     assert divisor_closure(set()) == set()
     assert divisor_closure({12}) == {1, 2, 3, 4, 6, 12}
+
+
+def test_divisor_closure_of_the_fundamental_gaps_is_every_gap():
+    # the identity `fundamental` writes its divisor_closure field by (the
+    # proof is in `cli.cmd_fundamental`), over every 3-generator set from
+    # [2, 25) and the two-generator pairs up to beta = 40
+    sets = [gens for gens in combinations(range(2, 25), 3) if gcd(*gens) == 1]
+    assert len(sets) == 1494
+    for gens in [*sets, *coprime_pairs(40)]:
+        S = make_semigroup(gens)
+        assert divisor_closure(fundamental_gaps(S)) == set(S.gaps), gens
 
 
 def test_semigroup_from_fg():
@@ -163,7 +177,7 @@ def test_block_counts_tile_the_rectangle_and_bound_the_fg_count():
         if alpha < 3:
             continue
         T = TwoGen(alpha, beta)
-        t_u, t_r, ssg = _block_counts(T)
+        t_u, t_r, ssg = _block_counts(alpha, beta)
         R = (alpha // 2) * (beta // 2)
         PQ = (beta // 2 - beta // 3) * (alpha // 2 - alpha // 3)
         assert t_u + t_r + ssg == R, (alpha, beta)
@@ -197,7 +211,7 @@ def test_alpha2_count_inequality_holds_only_at_beta_3():
     # beta = 5 on the gap 1 is not fundamental (3 is a gap)
     for beta in range(3, 80, 2):
         T = TwoGen(2, beta)
-        assert _symmetric_count(T) == (beta - 1) // 2 == T.genus, beta
+        assert _symmetric_count(2, beta) == (beta - 1) // 2 == T.genus, beta
         assert compare_counts(T).inequality_holds == (beta == 3), beta
 
 

@@ -268,7 +268,7 @@ def test_row_intervals_read_each_block_in_walk_order():
         side, rows = _sg_rows(T)
         assert (side, list(_walk_cells(rows))) == (want_side, walk_order(want)), pair
         assert supersymmetric_gaps(T) == (want_side, want), pair
-        assert _block_counts(T) == tuple(len(cells) for _, cells in blocks[:3]), pair
+        assert _block_counts(alpha, beta) == tuple(len(cells) for _, cells in blocks[:3]), pair
         kinds |= {kind for kind, hit in (
             ("alpha 2", alpha == 2), ("alpha 3", alpha == 3),
             ("even alpha > 2", alpha % 2 == 0 and alpha > 2), ("even beta", beta % 2 == 0),
@@ -422,11 +422,10 @@ def test_candidate_pairs_are_few():
 
 def test_infer_count_filter_drops_candidates_before_any_cell_is_mapped(monkeypatch):
     # the count filter changes only cost, so a work count pins it: no
-    # candidate for {100000} holds exactly one symmetric cell, so none maps
-    # the value or builds a triangle; without the filter 23 candidates do both
-    from gapsym import symmetry
-
-    calls = {"cell_of": 0, "supersymmetric_gaps": 0}
+    # candidate for {100000} holds exactly one symmetric cell, so none builds
+    # a TwoGen, maps the value or builds a triangle; without the filter 23
+    # candidates do all three
+    calls = {"TwoGen": 0, "cell_of": 0, "supersymmetric_gaps": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -434,11 +433,21 @@ def test_infer_count_filter_drops_candidates_before_any_cell_is_mapped(monkeypat
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(TwoGen, "__init__", counted("TwoGen", TwoGen.__init__))
     monkeypatch.setattr(TwoGen, "cell_of", counted("cell_of", TwoGen.cell_of))
     monkeypatch.setattr(symmetry, "supersymmetric_gaps",
                         counted("supersymmetric_gaps", symmetry.supersymmetric_gaps))
     assert infer_semigroup({100000}, 400000) is None
-    assert calls == {"cell_of": 0, "supersymmetric_gaps": 0}
+    assert calls == {"TwoGen": 0, "cell_of": 0, "supersymmetric_gaps": 0}
+
+    # on <7, 8>'s values, only the candidates that pass the count filter
+    # build a TwoGen
+    values = {13, 6, 5, 4, 12, 20}
+    candidates = list(symmetry._candidate_pairs(max(values), 20))
+    passing = [p for p in candidates if symmetry._symmetric_count(*p) == len(values)]
+    assert (7, 8) in passing and len(passing) < len(candidates)
+    assert infer_semigroup(values, 20) == (7, 8)
+    assert calls["TwoGen"] == len(passing)
 
 
 def test_symmetric_count_matches_cells():
@@ -446,7 +455,7 @@ def test_symmetric_count_matches_cells():
 
     for (alpha, beta), values in SYMMETRIC_VALUES.items():
         T = TwoGen(alpha, beta)
-        assert _symmetric_count(T) == len(values), (alpha, beta)
+        assert _symmetric_count(alpha, beta) == len(values), (alpha, beta)
         _, sg = supersymmetric_gaps(T)
         assert compare_counts(T).sg_ssg == len(sg | self_symmetric_gaps(T)), (alpha, beta)
 
@@ -499,7 +508,7 @@ def test_corrected_upper_triangle_sum():
     for alpha, beta in pairs:
         T = TwoGen(alpha, beta)
         corrected = sum(j * beta // alpha for j in range(1, -(-alpha // 2)))
-        assert corrected == _block_counts(T)[0] == len(triangle_u(T)), (alpha, beta)
+        assert corrected == _block_counts(alpha, beta)[0] == len(triangle_u(T)), (alpha, beta)
         assert card_formulas(T).t_u_corrected == corrected, (alpha, beta)
 
 
