@@ -33,6 +33,7 @@ from .symmetry import (
     GapPartition,
     _grid_cells,
     _partition_rows,
+    _size,
     _smaller_side,
     _symmetric_count,
     _walk_cells,
@@ -190,7 +191,7 @@ def cmd_analyze(args):
     S = T.semigroup()
     # the verified blocks as row intervals; no block is built as a cell set
     blocks = _partition_rows(T)
-    sizes = tuple(sum(last - first + 1 for _, first, last in rows) for rows in blocks)
+    sizes = tuple(map(_size, blocks))
     side = _smaller_side(sizes[0], sizes[3])
     sg = list(_walk_cells(blocks[0] if side == "T_u" else blocks[3]))
     ssg = list(_walk_cells(blocks[2]))

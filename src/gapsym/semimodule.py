@@ -304,19 +304,19 @@ def sm_conductor_formula(delta: GammaSemimodule) -> int:
 def delta_formula(delta: GammaSemimodule) -> int:
     """Delta invariant from the staircase column widths and row heights.
 
-    The conductor term is `sm_conductor_formula`'s, read off the same path:
-    delta = (M - alpha - beta + 1) - delta(S) + the area under the
-    staircase, which over the columns from corner i to corner i + 1 has the
-    height of corner i's row.
+    Both terms are closed forms on the lattice path, never the module's
+    scanned conductor or delta: delta = c - delta(S) + the area under the
+    staircase, where c is `sm_conductor_formula`'s conductor, M - alpha -
+    beta + 1, and the area over the columns from corner i to corner i + 1
+    has the height of corner i's row.  A principal module is the base,
+    whose delta it returns.
     """
-    S = delta.base
-    T = S.two_gen()  # raises NotTwoGenerated for any other base
+    conductor = sm_conductor_formula(delta)  # raises NotTwoGenerated for any other base
     if delta.ed < 2:
-        return S.delta
-    path = _path(delta)
-    corners = path.se_turns
+        return delta.base.delta
+    corners = _path(delta).se_turns
     area = sum([(c1 - c0) * b for (c0, b), (c1, _) in zip(corners, corners[1:])])
-    return path.max_syzygy - T.alpha - T.beta + 1 - S.delta + area
+    return conductor - delta.base.delta + area
 
 
 def _is_translate(mins: int, genmask: int) -> bool:
@@ -420,14 +420,28 @@ PICARD_MAX_STEPS = 64
 
 
 def picard_orbit(delta: GammaSemimodule) -> PicardOrbit:
+    """Iterate `syzygy` from a module with at least two minimal generators
+    until a state repeats or PICARD_MAX_STEPS steps are taken.
+
+    The loop needs no exit for a principal iterate: the syzygy module of a
+    module with at least two minimal generators has at least two as well.
+    Let D have least minimal generators g1 < g2, over a base S with
+    conductor c(S), and suppose its syzygy module, the union of the
+    intersections (S+g_i) n (S+g_j), i < j, is S + h.
+
+    - (S+g1) n (S+g2) holds every x >= g2 + c(S), and h + c(S) - 1 is not
+      in S + h.  So h <= g2.
+    - h lies in some (S+g_i) n (S+g_j) with i < j, so h >= g_j >= g2.  So
+      h = g2 = g_j and i = 1: g2 lies in S + g1, which contradicts its
+      minimality.
+    - Over <1> every module is principal, and a principal D is refused.
+    """
     if delta.ed < 2:
         raise PrincipalModule("orbit iteration needs the syzygy module")
     states = [delta.min_generators]
     seen = {delta.min_generators: 0}
     cur = delta
     for _ in range(PICARD_MAX_STEPS):
-        if cur.ed < 2:
-            return PicardOrbit(tuple(states), None)
         cur = syzygy(cur)
         key = cur.min_generators
         states.append(key)

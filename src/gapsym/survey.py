@@ -27,6 +27,7 @@ from .semigroup import NumericalSemigroup, TwoGen
 from .semimodule import _gap_flags, _gap_rows
 from .symmetry import (
     _partition_rows,
+    _size,
     _smaller_side,
     _walk_cells,
     card_formulas,
@@ -58,11 +59,6 @@ def _gap_scans(T: TwoGen) -> dict:
     walk = list(T.walk())
     rows = _gap_flags(S, _gap_rows(S, [g for _, _, g in walk]))
     return {(a, b): row for (a, b, _), row in zip(walk, rows)}
-
-
-def _size(rows):
-    """The number of cells of row intervals."""
-    return sum([last - first + 1 for _, first, last in rows])
 
 
 def _check_partition(T, blocks, scans):

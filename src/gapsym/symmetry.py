@@ -66,6 +66,11 @@ def _walk_cells(rows):
     return ((a, b) for b, first, last in rows for a in range(first, last + 1))
 
 
+def _size(rows):
+    """The number of cells of row intervals."""
+    return sum([last - first + 1 for _, first, last in rows])
+
+
 def triangle_u(T: TwoGen) -> frozenset:
     """Gap cells strictly above the horizontal midline b = floor(alpha/2)."""
     return frozenset(_walk_cells(_rows_u(T)))
@@ -321,18 +326,23 @@ def _candidate_pairs(top: int, max_beta: int):
 
 
 def _block_counts(alpha: int, beta: int):
-    """(|T_u|, |T_r|, |SSG|) of the coprime pair <alpha, beta>, read off its
-    row lengths from the two integers alone: no TwoGen and no cell is built.
+    """(|T_u|, |T_r|, |SSG|) of the coprime pair <alpha, beta>, read off the
+    gap lattice's rows from the two integers alone: no TwoGen and no cell is
+    built.
 
-    Row b holds floor(j*beta/alpha) gap cells, j = alpha - b (shown in
-    `card_formulas`), so the rows of T_u are those with j <= (alpha-1)//2.
-    T_r holds the cells past beta//2 of each row longer than that
-    (`_rows_r`).  SSG is the row alpha/2 when alpha is even, and the column
-    beta/2, one cell in each row that reaches it, when beta is even.
+    These are the direct counts.  Row b holds (alpha*beta - b*beta - 1) //
+    alpha gap cells, `TwoGen.row_length`'s expression; T_u is the rows b >
+    alpha//2 (`_rows_u`), and T_r the cells past beta//2 of each row longer
+    than that (`_rows_r`).  SSG is the row alpha/2 when alpha is even, and
+    the column beta/2, one cell in each row that reaches it, when beta is
+    even (`_rows_ssg`).  The paper's closed sums for the same three counts
+    are evaluated in `card_formulas` only, which holds them against these.
     """
     half = beta // 2
-    rows = [j * beta // alpha for j in range(1, alpha)]
-    t_u = sum(rows[: (alpha - 1) // 2])
+    # rows[b - 1] is row b's length: v runs over alpha*beta - b*beta - 1 for
+    # b = 1 .. alpha - 1, and b = alpha would give -1
+    rows = [v // alpha for v in range(alpha * beta - beta - 1, 0, -beta)]
+    t_u = sum(rows[alpha // 2:])
     t_r = sum(r - half for r in rows if r > half)
     if alpha % 2 == 0:
         ssg = rows[alpha // 2 - 1]
@@ -343,7 +353,8 @@ def _block_counts(alpha: int, beta: int):
 
 def _symmetric_count(alpha: int, beta: int) -> int:
     """|SG| + |SSG|, which is |SG u SSG| since the blocks are disjoint (as
-    `gap_partition` checks).
+    `gap_partition` checks).  Both are direct counts, read off the lattice
+    rows by `_block_counts`, not the closed sums of `card_formulas`.
 
     For alpha >= 3 the count is at most |FG|, as the `uff` survey check
     verifies pair by pair.  The reflected blocks tile the rectangle of
@@ -394,9 +405,10 @@ def infer_semigroup(values, max_beta: int):
     at (1, alpha//2 + 1) or T_r at (beta//2 + 1, 1).  Each corner equation
     is solved for beta (`_corner_betas`), so the candidates number at most
     six per alpha, O(sqrt V) in all.  A candidate is dropped unless its
-    symmetric sets hold as many cells as there are target values, counted
-    from alpha and beta alone (`_symmetric_count`), so a dropped candidate
-    builds no TwoGen and maps no value.  A candidate that passes builds its
+    symmetric sets hold as many cells as there are target values, a direct
+    count read off the lattice row lengths from alpha and beta alone
+    (`_symmetric_count`), not a closed sum; so a dropped candidate builds no
+    TwoGen and maps no value.  A candidate that passes builds its
     TwoGen, maps the target values to their cells once, and before any
     triangle is built it is dropped unless every target value is a gap.
     Gaps and cells correspond one to one, so a candidate matches exactly
@@ -443,6 +455,11 @@ class CardinalityReport(NamedTuple):
 def card_formulas(T: TwoGen) -> CardinalityReport:
     """Evaluate the closed cardinality sums against the direct counts of
     `_block_counts`.
+
+    This is the one place that evaluates the paper's floor(j*beta/alpha)
+    sums.  The direct counts are read off the row lengths (alpha*beta -
+    b*beta - 1)//alpha, so the `cardinality` survey check holds each sum
+    against a count derived without it.
 
     The right-triangle sum clamps negative terms at zero; the upper-triangle
     sum is evaluated as printed, which undercounts for odd alpha, so `agree`

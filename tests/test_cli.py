@@ -304,6 +304,18 @@ def test_reconstruct_names_the_failed_final_check(tmp_path, capsys, payload, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_reconstruct_rejects_reflected_cells_outside_the_rectangle(tmp_path, capsys):
+    # <7, 8>'s T_r cells, tagged as T_u: reflected in alpha they land in
+    # rows 5 and 6, above the rectangle's rows 1-3
+    t_r = [[5, 1], [6, 1], [5, 2]]
+    ssg = [[4, 1], [4, 2], [4, 3]]
+    with pytest.raises(InconsistentInput, match="^reflected cells do not tile inside the rectangle$"):
+        symmetry.reconstruct_from_symmetric(7, 8, t_r, "T_u", ssg)
+    payload = {"alpha": 7, "beta": 8, "sg_cells": t_r, "sg_side": "T_u", "ssg_cells": ssg}
+    assert main(["reconstruct", "--input", _write(tmp_path, "in.json", payload)]) == 3
+    assert capsys.readouterr() == ("", "error: reflected cells do not tile inside the rectangle\n")
+
+
 @pytest.mark.parametrize("payload, flags, message", [
     ([RECONSTRUCT_78], [], "top-level JSON value must be an object"),
     ({**RECONSTRUCT_78, "sg_side": "T_x"}, [], 'sg_side must be "T_u" or "T_r"'),
@@ -509,6 +521,19 @@ def test_gens_gcd_error_exit_2(capsys):
 def test_semimodule_invalid_module_exit_3(capsys):
     assert main(["semimodule", "--gens", "7,8", "--module=-5,0"]) == 3
     capsys.readouterr()
+
+
+def test_negative_values_read_as_options_unless_joined_with_equals():
+    # argparse takes a separate value that starts with "-" for an option, so
+    # only the joined spelling reaches the commands' own checks
+    for argv, option in [(["semimodule", "--gens", "5,7", "--module", "-5,0"], "--module"),
+                         (["classes", "--gens", "-3,5"], "--gens")]:
+        code, out, err = _in_process(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: argument {option}: expected one argument\n"), argv
+    assert _in_process(["semimodule", "--gens", "5,7", "--module=-5,0"]) == (
+        3, "", "error: module generators must be nonnegative, got [-5, 0]\n")
+    assert _in_process(["classes", "--gens=-3,5"]) == (2, "", "error: generators must be positive\n")
 
 
 def test_usage_error_exit_2():

@@ -280,6 +280,21 @@ def test_picard_orbit():
         picard_orbit(make_semimodule(S57, [0]))
 
 
+def test_no_syzygy_module_of_a_non_principal_module_is_principal():
+    # the proof in `picard_orbit`: {0} with any non-empty set of gaps
+    # generates a module with at least two minimal generators, and so does
+    # its syzygy module; every semigroup up to genus 8
+    modules = 0
+    for S in enumerate_semigroups_by_genus(8):
+        gaps = S.gaps
+        for mask in range(1, 1 << len(gaps)):
+            d = make_semimodule(S, [0, *(g for i, g in enumerate(gaps) if mask >> i & 1)])
+            assert d.ed >= 2, d
+            assert len(syzygy_generators(d)) >= 2, d
+            modules += 1
+    assert modules == 23_999
+
+
 def test_large_ed_syzygies_and_orbit_cap():
     # the multiples of 7 up to 6993 reduce over <400, 401> to a lean set of
     # 229 generators, whose orbit finds no repeat within the step cap
